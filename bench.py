@@ -15,9 +15,13 @@ saturation (measured: 0.816 raw @ 2→8, 0.706 @ 4→16, 0.519 @ 8→32 with
 identical code on identical input — and 0.876 raw @ 8→32 on an 8.6M-turn
 corpus in round 4's quiet window); override with GRAFT_SCALING_CPUS.
 
-``--stream`` runs the round-4 larger-than-memory streaming demo (default
-~40M turns, IVF pairing, per-stage walls + peak plasma + spill accounting;
-see stream() docstring for the env knobs).
+``--stages`` (one ``--stages-leg`` subprocess per CPU count) and
+``--stream`` run the flagship chain (``pipelines.linkage.STAGES``) under a
+timing stage policy and report one wall per stage: tuples, embeddings,
+candidates, matches, clusters. ``--stream`` is the round-4
+larger-than-memory streaming demo (default ~40M turns, IVF pairing, peak
+plasma + spill accounting; see stream() docstring for the env knobs).
+``--resume-demo`` kills and resumes the checkpointed run of the same chain.
 """
 
 from __future__ import annotations
@@ -45,6 +49,39 @@ def _cpu_stat() -> tuple[int, int]:
 def _steal_frac(before: tuple[int, int], after: tuple[int, int]) -> float:
     dt = after[1] - before[1]
     return round((after[0] - before[0]) / dt, 4) if dt > 0 else 0.0
+
+
+def _ray_init(**init_kwargs):
+    """Start this process's local Ray session at NUM_CPUS, quiet."""
+    import ray
+    from ray.data import DataContext
+
+    ray.init(
+        address="local",
+        num_cpus=NUM_CPUS,
+        include_dashboard=False,
+        ignore_reinit_error=True,
+        logging_level="ERROR",
+        **init_kwargs,
+    )
+    DataContext.get_current().enable_progress_bars = False
+    return ray
+
+
+def _timed_stages(times: dict, steals: dict):
+    """Stage policy for the flagship chain (pipelines.linkage.STAGES): each
+    stage is materialized, as in memory, and its wall and CPU-steal
+    fraction are recorded under the stage name."""
+
+    def stage(name, fn, deps):
+        s0 = _cpu_stat()
+        t0 = time.perf_counter()
+        out = fn().materialize()
+        times[name] = round(time.perf_counter() - t0, 2)
+        steals[name] = _steal_frac(s0, _cpu_stat())
+        return out
+
+    return stage
 
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
@@ -125,19 +162,7 @@ def bench_query(fn) -> dict:
 
 
 def main() -> None:
-    import ray
-
-    ray.init(
-        address="local",
-        num_cpus=NUM_CPUS,
-        include_dashboard=False,
-        ignore_reinit_error=True,
-        logging_level="ERROR",
-    )
-    from ray.data import DataContext
-
-    ctx = DataContext.get_current()
-    ctx.enable_progress_bars = False
+    ray = _ray_init()
 
     import __ray_entry__ as entrymod
 
@@ -518,36 +543,19 @@ def scaling() -> None:
 
 
 def _stages_leg() -> None:
-    """One per-stage-timed run of the headline linkage at RAY_GRAFT_CPUS.
-    Stage boundaries are materialize barriers, so each timer covers exactly
-    one stage's cluster work (candidate dedup is materialized here for
-    attribution; production fuses it into the scoring execution). Prints one
-    JSON line {stage: sec}."""
-    import ray
-
-    ray.init(
-        address="local",
-        num_cpus=NUM_CPUS,
-        include_dashboard=False,
-        ignore_reinit_error=True,
-        logging_level="ERROR",
-    )
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
-
-    from deepblocker_ray.config import EngineConfig, parallel_blocks_sized
-    from deepblocker_ray.pipelines.evaluate import normalize_pairs
+    """One per-stage-timed run of the headline linkage at RAY_GRAFT_CPUS:
+    the flagship chain under the timing stage policy, so each timer covers
+    exactly one stage of ``pipelines.linkage.STAGES`` — tuples,
+    embeddings, candidates (index + raw top-K query), matches (candidate
+    dedup + score + normalize), clusters. Prints one JSON line
+    {"stages": {stage: sec}, "steal", "rows", "num_cpus"}."""
+    ray = _ray_init()
+    from deepblocker_ray.config import EngineConfig
     from deepblocker_ray.pipelines.linkage import (
-        _dedup_candidates,
-        assign_cluster_labels,
+        _LinkJob,
+        _run_chain,
         link_transcripts,
     )
-    from deepblocker_ray.stages.canonicalize import canonicalize
-    from deepblocker_ray.stages.cluster import connected_components
-    from deepblocker_ray.stages.embed import SIFEmbedder
-    from deepblocker_ray.stages.pairing import ExactTopKPairer
-    from deepblocker_ray.stages.scoring import score_candidates
 
     cfg = EngineConfig()
     ds = _linkage_input()
@@ -557,42 +565,8 @@ def _stages_leg() -> None:
 
     times: dict[str, float] = {}
     steals: dict[str, float] = {}
-    t = time.perf_counter()
-    s = _cpu_stat()
-
-    def mark(name: str) -> None:
-        nonlocal t, s
-        now = time.perf_counter()
-        s2 = _cpu_stat()
-        times[name] = round(now - t, 2)
-        steals[name] = _steal_frac(s, s2)
-        t, s = now, s2
-
-    tuples = parallel_blocks_sized(
-        canonicalize(ds, cfg, turn_cap=10_000).materialize()
-    )
-    mark("canonicalize")
-    model = SIFEmbedder(cfg).fit(tuples, text_col="tuple_text")
-    mark("sif_fit")
-    emb = model.transform(tuples, id_col="conv_id").materialize()
-    mark("sif_transform")
-    pairer = ExactTopKPairer(k=8, cfg=cfg, exclude_self=True).index(
-        emb, id_col="conv_id"
-    )
-    mark("index")
-    raw = pairer.query(emb, id_col="conv_id").materialize()
-    mark("query")
-    cand = _dedup_candidates(raw, cfg).materialize()
-    mark("cand_dedup")
-    scored = score_candidates(cand, tuples, cfg=cfg).materialize()
-    mark("score")
-    matches = normalize_pairs(
-        scored.filter(expr="is_match == True")
-    ).materialize()
-    mark("matches")
-    comp = connected_components(matches, cfg, src="ltable_id", dst="rtable_id")
-    assign_cluster_labels(tuples, comp, cfg).count()
-    mark("cluster")
+    job = _LinkJob(cfg, 8, transcripts=ds, embedder="sif")
+    _run_chain(job, _timed_stages(times, steals))
     times["total"] = round(sum(times.values()), 2)
     print(
         json.dumps(
@@ -667,8 +641,9 @@ def _shmem_kb() -> int:
 
 def stream() -> None:
     """Round-4 streaming demo (VERDICT #6): run the headline linkage on a
-    corpus ~10× the largest measured point (default ~40M turns), per-stage
-    timed, with the object store CAPPED below the pipeline's total
+    corpus ~10× the largest measured point (default ~40M turns), timed per
+    stage of the flagship chain (tuples, embeddings, candidates, matches,
+    clusters), with the object store CAPPED below the pipeline's total
     materialized bytes so Ray's spill path is actually exercised — the
     regime a 100-TB job lives in permanently. Records per-stage walls, peak
     /dev/shm (plasma) usage, spill volume from Ray's own accounting, and
@@ -683,8 +658,6 @@ def stream() -> None:
     probes), RAY_GRAFT_CPUS."""
     import threading
 
-    import ray
-
     base = int(os.environ.get("GRAFT_STREAM_BASE", "3750000"))
     n_shards = int(os.environ.get("GRAFT_STREAM_SHARDS", "64"))
     pairing = os.environ.get("GRAFT_STREAM_PAIRING", "ivf")
@@ -692,17 +665,7 @@ def stream() -> None:
     init_kwargs = {}
     if obj_gb:
         init_kwargs["object_store_memory"] = int(float(obj_gb) * 2**30)
-    ray.init(
-        address="local",
-        num_cpus=NUM_CPUS,
-        include_dashboard=False,
-        ignore_reinit_error=True,
-        logging_level="ERROR",
-        **init_kwargs,
-    )
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
+    ray = _ray_init(**init_kwargs)
 
     import ray.data as rd
 
@@ -802,17 +765,8 @@ def stream() -> None:
     th = threading.Thread(target=sampler, daemon=True)
     th.start()
 
-    from deepblocker_ray.config import EngineConfig, parallel_blocks_sized
-    from deepblocker_ray.pipelines.evaluate import normalize_pairs
-    from deepblocker_ray.pipelines.linkage import (
-        _dedup_candidates,
-        assign_cluster_labels,
-    )
-    from deepblocker_ray.stages.canonicalize import canonicalize
-    from deepblocker_ray.stages.cluster import connected_components
-    from deepblocker_ray.stages.embed import SIFEmbedder
-    from deepblocker_ray.stages.pairing import ExactTopKPairer, IVFTopKPairer
-    from deepblocker_ray.stages.scoring import score_candidates
+    from deepblocker_ray.config import EngineConfig
+    from deepblocker_ray.pipelines.linkage import _LinkJob, _run_chain
 
     cfg = EngineConfig()
     # key-grouped-exchange width: at 40M turns the default 128 buckets make
@@ -845,57 +799,27 @@ def stream() -> None:
 
     times: dict[str, float] = {}
     steals: dict[str, float] = {}
-    t = time.perf_counter()
-    s = _cpu_stat()
+    timed = _timed_stages(times, steals)
 
-    def mark(name: str) -> None:
-        nonlocal t, s
-        now = time.perf_counter()
-        s2 = _cpu_stat()
-        times[name] = round(now - t, 2)
-        steals[name] = _steal_frac(s, s2)
-        t, s = now, s2
+    def stage(name, fn, deps):
+        out = timed(name, fn, deps)
+        if name == "tuples" and pairing == "ivf":
+            # IVF geometry sized to the corpus before the candidates stage
+            n_convs = out.count()
+            cfg.ivf_cells = int(
+                os.environ.get(
+                    "GRAFT_STREAM_CELLS", str(max(64, int(n_convs**0.5)))
+                )
+            )
+            cfg.ivf_nprobe = int(
+                os.environ.get(
+                    "GRAFT_STREAM_NPROBE", str(max(8, cfg.ivf_cells // 32))
+                )
+            )
+        return out
 
-    tuples = parallel_blocks_sized(
-        canonicalize(ds, cfg, turn_cap=10_000).materialize()
-    )
-    n_convs = tuples.count()
-    mark("canonicalize")
-    model = SIFEmbedder(cfg).fit(tuples, text_col="tuple_text")
-    mark("sif_fit")
-    emb = model.transform(tuples, id_col="conv_id").materialize()
-    mark("sif_transform")
-    if pairing == "ivf":
-        cfg.ivf_cells = int(
-            os.environ.get(
-                "GRAFT_STREAM_CELLS", str(max(64, int(n_convs**0.5)))
-            )
-        )
-        cfg.ivf_nprobe = int(
-            os.environ.get(
-                "GRAFT_STREAM_NPROBE", str(max(8, cfg.ivf_cells // 32))
-            )
-        )
-        pairer = IVFTopKPairer(k=8, cfg=cfg, exclude_self=True)
-    else:
-        pairer = ExactTopKPairer(k=8, cfg=cfg, exclude_self=True)
-    pairer.index(emb, id_col="conv_id")
-    mark("index")
-    raw = pairer.query(emb, id_col="conv_id").materialize()
-    n_raw = raw.count()
-    mark("query")
-    cand = _dedup_candidates(raw, cfg).materialize()
-    mark("cand_dedup")
-    scored = score_candidates(cand, tuples, cfg=cfg).materialize()
-    mark("score")
-    matches = normalize_pairs(
-        scored.filter(expr="is_match == True")
-    ).materialize()
-    n_matches = matches.count()
-    mark("matches")
-    comp = connected_components(matches, cfg, src="ltable_id", dst="rtable_id")
-    n_clusters = assign_cluster_labels(tuples, comp, cfg).count()
-    mark("cluster")
+    job = _LinkJob(cfg, 8, pairing, transcripts=ds, embedder="sif")
+    res = _run_chain(job, stage)
     times["total"] = round(sum(times.values()), 2)
 
     stop.set()
@@ -910,7 +834,7 @@ def stream() -> None:
             {
                 "metric": "stream_demo",
                 "input_turns": n_turns,
-                "n_convs": n_convs,
+                "n_convs": res["tuples"].count(),
                 "pairing": pairing,
                 "ivf_cells": cfg.ivf_cells if pairing == "ivf" else None,
                 "ivf_nprobe": cfg.ivf_nprobe if pairing == "ivf" else None,
@@ -918,9 +842,9 @@ def stream() -> None:
                 "stages": times,
                 "steal": steals,
                 "gen_s": gen_s,
-                "raw_candidates": n_raw,
-                "matches": n_matches,
-                "labeled_convs": n_clusters,
+                "raw_candidates": res["candidates"].count(),
+                "matches": res["matches"].count(),
+                "labeled_convs": res["clusters"].count(),
                 "turns_per_sec": round(n_turns / times["total"], 1),
                 "peak_shmem_gb": round((peak[0] - shmem0) / 2**20, 2),
                 "peak_spill_gb": spill_gb,
@@ -942,19 +866,7 @@ def _resume_leg() -> None:
     """One run-to-completion (or until killed) of the manifest-checkpointed
     flagship over GRAFT_RESUME_CORPUS into GRAFT_RESUME_RUN_DIR; prints one
     JSON line with the output row counts."""
-    import ray
-
-    ray.init(
-        address="local",
-        num_cpus=NUM_CPUS,
-        include_dashboard=False,
-        ignore_reinit_error=True,
-        logging_level="ERROR",
-    )
-    from ray.data import DataContext
-
-    DataContext.get_current().enable_progress_bars = False
-
+    ray = _ray_init()
     from deepblocker_ray.config import EngineConfig
     from deepblocker_ray.state.manifest import linkage_with_manifest
 
@@ -996,15 +908,7 @@ def resume_demo() -> None:
     kill_after = float(os.environ.get("GRAFT_RESUME_KILL_AFTER", "15"))
     cache = f"/tmp/graft_bench/stream_{base}_16"
 
-    import ray
-
-    ray.init(
-        address="local",
-        num_cpus=NUM_CPUS,
-        include_dashboard=False,
-        ignore_reinit_error=True,
-        logging_level="ERROR",
-    )
+    ray = _ray_init()
     from deepblocker_ray.fixtures import synth_transcripts_sharded
 
     synth_transcripts_sharded(cache, base, n_shards=16)

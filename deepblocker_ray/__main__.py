@@ -53,12 +53,12 @@ def cmd_block(args) -> dict:
     from .pipelines.blocking import DeepBlockerRay
     from .pipelines.linkage import make_embedder
     from .sources.io import read_table
-    from .stages.pairing import ExactTopKPairer, IVFTopKPairer
+    from .stages.pairing import make_pairer
 
     cfg = EngineConfig()
     embedder = make_embedder(args.embedder, cfg)
-    pairer_cls = ExactTopKPairer if args.pairing == "exact" else IVFTopKPairer
-    blocker = DeepBlockerRay(embedder, pairer_cls(k=args.k, cfg=cfg))
+    pairer = make_pairer(args.pairing, args.k, cfg, exclude_self=False)
+    blocker = DeepBlockerRay(embedder, pairer)
     cand = blocker.block_datasets(
         read_table(args.left),
         read_table(args.right),

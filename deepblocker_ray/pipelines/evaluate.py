@@ -223,14 +223,6 @@ def blocking_stats_from_labels(
     )
 
 
-def clusters_to_pairs(clusters: pd.DataFrame, id_col="conv_id", label_col="entity_id") -> pd.DataFrame:
-    """Ground-truth clusters → all unordered within-cluster pairs."""
-    from ..fixtures import golden_pairs
-
-    df = clusters.rename(columns={id_col: "conv_id", label_col: "entity_id"})
-    return golden_pairs(df)
-
-
 def pairwise_cluster_eval(
     pred,
     labels_ds,

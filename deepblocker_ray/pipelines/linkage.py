@@ -1,9 +1,20 @@
 """Flagship pipeline: transcript record linkage end-to-end (north_rule).
 
-read transcripts → canonicalize (groupby conv_id, stable turn sort) →
-fit + embed (SIF / AutoEncoder / CTT / Hybrid) → top-K cosine blocking
-(exact or IVF) → pairwise scoring (cosine + Jaro-Winkler + Levenshtein on
-per-turn text) → threshold → transitive clustering → (conv_id, cluster_id).
+The chain is written once, as five named stages (``STAGES``):
+
+- ``tuples``: canonicalize (groupby conv_id, stable turn sort);
+- ``embeddings``: fit + embed (SIF / AutoEncoder / CTT / Hybrid);
+- ``candidates``: the raw top-K cosine query (exact or IVF);
+- ``matches``: candidate-pair dedup → pairwise scoring (cosine +
+  Jaro-Winkler + Levenshtein on per-turn text) → threshold → normalized
+  unordered pairs;
+- ``clusters``: transitive clustering → (conv_id, cluster_id).
+
+``_run_chain`` runs them under a stage policy ``stage(name, fn, deps)``:
+``in_memory`` materializes each stage's output; the checkpointed run
+(``state.manifest.linkage_with_manifest``) passes ``ManifestRun.stage``;
+``bench.py`` passes a timing wrapper. Full, precomputed-embedding and
+incremental linkage differ only in the data they hand the runner.
 
 Every stage is a Dataset transform; the only driver-side work is bounded
 (training sample, weight dicts, cluster fast path).
@@ -11,15 +22,19 @@ Every stage is a Dataset transform; the only driver-side work is bounded
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+from typing import Any
+
 import pandas as pd
 import pyarrow as pa
 
-from ..config import EngineConfig, parallel_blocks
+from ..config import EngineConfig, parallel_blocks_sized
 from ..stages.canonicalize import canonicalize
 from ..stages.cluster import connected_components
 from ..stages.deep_embed import AutoEncoderEmbedder, CTTEmbedder, HybridEmbedder
 from ..stages.embed import AverageEmbedder, SIFEmbedder
-from ..stages.pairing import ExactTopKPairer, IVFTopKPairer
+from ..stages.pairing import make_pairer
 from ..stages.scoring import score_candidates
 from .evaluate import normalize_pairs
 
@@ -151,6 +166,103 @@ def assign_cluster_labels(ids_ds, comp, cfg: EngineConfig):
     )
 
 
+@dataclasses.dataclass
+class _LinkJob:
+    """The chain's inputs other than stage outputs. ``transcripts`` and
+    ``embedder`` are only read by the tuples/embeddings stages, which do
+    not run when the caller hands their outputs in."""
+
+    cfg: EngineConfig
+    k: int
+    pairing: str = "exact"
+    threshold: float | None = None
+    transcripts: Any = None
+    embedder: Any = None
+    turn_cap: int | None = 10_000
+    query: Any = None  # top-K query side; None: the indexed embeddings
+    extra_edges: Any = None  # clustered with the matches (prior clusters)
+
+
+def _canonical_tuples(transcripts, cfg: EngineConfig, turn_cap: int | None):
+    return parallel_blocks_sized(
+        canonicalize(transcripts, cfg, turn_cap=turn_cap).materialize()
+    )
+
+
+def _tuples(job: _LinkJob, out: dict):
+    return _canonical_tuples(job.transcripts, job.cfg, job.turn_cap)
+
+
+def _embeddings(job: _LinkJob, out: dict):
+    # built inside the stage, so a resumed run that skips it never builds
+    # an unfitted model
+    model = make_embedder(job.embedder, job.cfg)
+    model.fit(out["tuples"], text_col="tuple_text")
+    out["embedder"] = model  # fitted state, reusable by link_incremental
+    return model.transform(out["tuples"], id_col="conv_id")
+
+
+def _candidates(job: _LinkJob, out: dict):
+    pairer = make_pairer(job.pairing, job.k, job.cfg)
+    pairer.index(out["embeddings"], id_col="conv_id")
+    query = out["embeddings"] if job.query is None else job.query
+    return pairer.query(query, id_col="conv_id")
+
+
+def _matches(job: _LinkJob, out: dict):
+    candidates = _dedup_candidates(out["candidates"], job.cfg)
+    # barrier between score and the normalize_pairs exchange: measured A/B at
+    # 8 CPUs on 428k turns, fusing the compute-heavy score map into the same
+    # execution as the downstream groupby costs 39.6s → 67.0s — the hazard
+    # of the candidates boundary (see in_memory). Do NOT collapse it.
+    out["scored"] = score_candidates(
+        candidates, out["tuples"], cfg=job.cfg, threshold=job.threshold
+    ).materialize()
+    return normalize_pairs(out["scored"].filter(expr="is_match == True"))
+
+
+def _clusters(job: _LinkJob, out: dict):
+    edges = out["matches"]
+    if job.extra_edges is not None:
+        edges = edges.union(job.extra_edges)
+    comp = connected_components(edges, job.cfg, src="ltable_id", dst="rtable_id")
+    return assign_cluster_labels(out["tuples"], comp, job.cfg)
+
+
+# (name, fn, deps): the flagship chain, in order. The names are the
+# checkpoint directories of a manifest run and the keys of every result.
+STAGES = (
+    ("tuples", _tuples, ()),
+    ("embeddings", _embeddings, ("tuples",)),
+    ("candidates", _candidates, ("embeddings",)),
+    ("matches", _matches, ("candidates", "tuples")),
+    ("clusters", _clusters, ("matches", "tuples")),
+)
+
+
+def in_memory(name: str, fn, deps):
+    """The in-memory stage policy: run the stage, materialize its output.
+    The candidates boundary is load-bearing: when the compute-heavy query
+    map feeds the dedup shuffle in one streaming execution, the executor's
+    resource reservation for the shuffle throttles the map to 1-2
+    concurrent tasks on small-CPU sessions (observed 280s vs 104s at 8
+    CPUs). Candidates are skinny rows — cheap to pin."""
+    return fn().materialize()
+
+
+def _run_chain(job: _LinkJob, stage=in_memory, given: dict | None = None) -> dict:
+    """Run every stage of ``STAGES`` whose output is not in ``given``, in
+    order, each through ``stage(name, fn, deps)``; ``fn()`` computes the
+    stage from the outputs before it. Returns every stage output by name,
+    plus ``scored`` (from a ``matches`` stage that ran) and the fitted
+    ``embedder`` (from an ``embeddings`` stage that ran)."""
+    out = dict(given or {})
+    for name, fn, deps in STAGES:
+        if name not in out:
+            out[name] = stage(name, functools.partial(fn, job, out), list(deps))
+    return out
+
+
 def link_transcripts(
     transcripts,
     cfg: EngineConfig | None = None,
@@ -161,23 +273,14 @@ def link_transcripts(
     turn_cap: int | None = 10_000,
 ) -> dict:
     """Self-linkage over one transcript table. Returns a dict of Datasets:
-    tuples, candidates, scored, matches (normalized pairs), clusters
-    (every conversation labeled; unmatched ones form singletons)."""
-    cfg = cfg or EngineConfig()
-    emb_model = make_embedder(embedder, cfg)
-
-    from ..config import parallel_blocks_sized
-
-    tuples = parallel_blocks_sized(
-        canonicalize(transcripts, cfg, turn_cap=turn_cap).materialize()
+    tuples, embeddings, candidates (raw top-K), scored, matches (normalized
+    pairs), clusters (every conversation labeled; unmatched ones form
+    singletons), plus the fitted ``embedder``."""
+    job = _LinkJob(
+        cfg or EngineConfig(), k, pairing, threshold,
+        transcripts=transcripts, embedder=embedder, turn_cap=turn_cap,
     )
-    emb_model.fit(tuples, text_col="tuple_text")
-    emb = emb_model.transform(tuples, id_col="conv_id").materialize()
-    res = link_from_embeddings(
-        tuples, emb, cfg, k=k, pairing=pairing, threshold=threshold
-    )
-    res["embedder"] = emb_model  # fitted state, reusable by link_incremental
-    return res
+    return _run_chain(job)
 
 
 def link_from_embeddings(
@@ -188,53 +291,17 @@ def link_from_embeddings(
     pairing: str = "exact",
     threshold: float | None = None,
 ) -> dict:
-    """Linkage back half over PRECOMPUTED embeddings: top-K cosine blocking →
-    candidate-pair dedup → pairwise scoring (cosine + Jaro-Winkler +
-    Levenshtein on turn texts) → threshold → transitive clustering.
+    """Linkage back half over PRECOMPUTED embeddings: the chain's
+    candidates, matches and clusters stages.
 
     ``tuples`` must have (conv_id, turn_texts); ``emb`` must have
-    (conv_id, emb: fixed_size_list<float32, D>). This is both the tail of
-    link_transcripts and the standalone entry point for tables that ship
-    their own embedding column (e.g. the driver's ``embeddings`` view) —
-    with no hash embedding in the loop, every stage of the chain has an
-    exact DuckDB twin (__ray_entry__: blocking_vec / linkage_vec)."""
-    cfg = cfg or EngineConfig()
-    if pairing == "exact":
-        pairer = ExactTopKPairer(k=k, cfg=cfg, exclude_self=True)
-    elif pairing == "ivf":
-        pairer = IVFTopKPairer(k=k, cfg=cfg, exclude_self=True)
-    else:
-        raise KeyError(f"unknown pairing mode {pairing!r}")
-    pairer.index(emb, id_col="conv_id")
-    # materialize between the heavy query map and the dedup shuffle: when a
-    # compute-heavy map feeds an AllToAll in one streaming execution, the
-    # executor's resource reservation for the shuffle throttles the map to
-    # 1-2 concurrent tasks on small-CPU sessions (observed 280s vs 104s for
-    # the same query at 8 CPUs). Candidates are skinny rows — cheap to pin.
-    raw_candidates = pairer.query(emb, id_col="conv_id").materialize()
-    candidates = _dedup_candidates(raw_candidates, cfg)
-
-    # barrier between score and the normalize_pairs exchange: measured A/B at
-    # 8 CPUs on 428k turns, fusing the compute-heavy score map into the same
-    # execution as the downstream groupby costs 39.6s → 67.0s (the executor's
-    # shuffle resource reservation throttles the map) — the same hazard as
-    # the query→dedup seam above. Do NOT collapse this materialize.
-    scored = score_candidates(
-        candidates, tuples, cfg=cfg, threshold=threshold
-    ).materialize()
-    matches = normalize_pairs(
-        scored.filter(expr="is_match == True")
-    ).materialize()
-    comp = connected_components(matches, cfg, src="ltable_id", dst="rtable_id")
-    clusters = assign_cluster_labels(tuples, comp, cfg)
-    return {
-        "tuples": tuples,
-        "embeddings": emb,
-        "candidates": candidates,
-        "scored": scored,
-        "matches": matches,
-        "clusters": clusters,
-    }
+    (conv_id, emb: fixed_size_list<float32, D>). This is the standalone
+    entry point for tables that ship their own embedding column (e.g. the
+    driver's ``embeddings`` view) — with no hash embedding in the loop,
+    every stage of the chain has an exact DuckDB twin (__ray_entry__:
+    blocking_vec / linkage_vec)."""
+    job = _LinkJob(cfg or EngineConfig(), k, pairing, threshold)
+    return _run_chain(job, given={"tuples": tuples, "embeddings": emb})
 
 
 def _reject_id_overlap(prior_tuples, new_tuples, cfg: EngineConfig) -> None:
@@ -330,11 +397,7 @@ def link_incremental(
             "use a prior dict returned by link_transcripts"
         )
 
-    from ..config import parallel_blocks_sized
-
-    new_tuples = parallel_blocks_sized(
-        canonicalize(new_transcripts, cfg, turn_cap=turn_cap).materialize()
-    )
+    new_tuples = _canonical_tuples(new_transcripts, cfg, turn_cap)
     # fail fast on re-delivered ids BEFORE paying the frozen-embedder
     # transform over the whole delta (the guard is one skinny id scan; the
     # embedding pass is O(new) full-text work)
@@ -364,55 +427,33 @@ def link_incremental_from_embeddings(
     ``new_tuples`` needs (conv_id, turn_texts); ``new_emb`` (conv_id, emb)
     in the SAME embedding space as ``prior['embeddings']``.
     ``check_overlap=False`` skips the re-delivered-id guard when the caller
-    already ran it (link_incremental runs it before embedding)."""
+    already ran it (link_incremental runs it before embedding).
+
+    The chain's tail runs over the grown corpus: the index side and the
+    scoring tuples are old ∪ new, the query side is the delta only, and the
+    prior assignments ride into CC as (conv_id, cluster_id) edges —
+    normalize_pairs drops the singleton self-edges (assign_cluster_labels
+    re-defaults unmatched ids to themselves) and dedups."""
     cfg = cfg or EngineConfig()
     if check_overlap:
         _reject_id_overlap(prior["tuples"], new_tuples, cfg)
-    all_emb = prior["embeddings"].union(new_emb).materialize()
-    all_tuples = prior["tuples"].union(new_tuples).materialize()
-
-    if pairing == "exact":
-        pairer = ExactTopKPairer(k=k, cfg=cfg, exclude_self=True)
-    elif pairing == "ivf":
-        pairer = IVFTopKPairer(k=k, cfg=cfg, exclude_self=True)
-    else:
-        raise KeyError(f"unknown pairing mode {pairing!r}")
-    pairer.index(all_emb, id_col="conv_id")
-    # same load-bearing seams as link_from_embeddings (see the A/B notes
-    # there): materialize between heavy maps and AllToAll exchanges
-    raw_candidates = pairer.query(new_emb, id_col="conv_id").materialize()
-    candidates = _dedup_candidates(raw_candidates, cfg)
-    scored = score_candidates(
-        candidates, all_tuples, cfg=cfg, threshold=threshold
-    ).materialize()
-    matches = normalize_pairs(
-        scored.filter(expr="is_match == True")
-    ).materialize()
-
-    # prior assignments ride into CC as (conv_id, cluster_id) edges;
-    # normalize_pairs drops the singleton self-edges (assign_cluster_labels
-    # re-defaults unmatched ids to themselves) and dedups
     prior_edges = normalize_pairs(
         prior["clusters"], left_col="conv_id", right_col="cluster_id"
     )
-    edges = matches.union(prior_edges)
-    comp = connected_components(edges, cfg, src="ltable_id", dst="rtable_id")
-    clusters = assign_cluster_labels(all_tuples, comp, cfg)
+    job = _LinkJob(
+        cfg, k, pairing, threshold, query=new_emb, extra_edges=prior_edges
+    )
+    res = _run_chain(job, given={
+        "tuples": prior["tuples"].union(new_tuples).materialize(),
+        "embeddings": prior["embeddings"].union(new_emb).materialize(),
+    })
     # "matches" must describe the WHOLE corpus like tuples/embeddings/
     # clusters do — a consumer of the dict (or the CLI's matches output)
     # would otherwise silently lose every base-base pair. Delta-only edges
     # stay available as "delta_matches". The union is duplicate-free:
     # delta edges always have a NEW record on one side, prior edges never
-    # do (the overlap guard above enforces id disjointness).
-    all_matches = (
-        prior["matches"].union(matches) if "matches" in prior else matches
-    )
-    return {
-        "tuples": all_tuples,
-        "embeddings": all_emb,
-        "candidates": candidates,
-        "scored": scored,
-        "matches": all_matches,
-        "delta_matches": matches,
-        "clusters": clusters,
-    }
+    # do (the overlap guard enforces id disjointness).
+    res["delta_matches"] = res["matches"]
+    if "matches" in prior:
+        res["matches"] = prior["matches"].union(res["matches"])
+    return res

@@ -13,7 +13,7 @@ import pyarrow as pa
 
 from ..config import EngineConfig
 from .embed import numpy_to_emb
-from .pairing import ExactTopKPairer, IVFTopKPairer
+from .pairing import make_pairer
 
 
 def prep_embeddings(ds, id_col: str = "vec_id", list_col: str = "embedding"):
@@ -71,10 +71,7 @@ def knn(
     prepped = prep_embeddings(ds=emb_ds, id_col=id_col, list_col=list_col).materialize()
     queries = emb_ds.filter(expr=f"{id_col} < {n_queries}")
     queries = prep_embeddings(queries, id_col=id_col, list_col=list_col)
-    if mode == "exact":
-        pairer = ExactTopKPairer(k=k, cfg=cfg, exclude_self=True)
-    else:
-        pairer = IVFTopKPairer(k=k, cfg=cfg, exclude_self=True)
+    pairer = make_pairer(mode, k, cfg)
     pairer.index(prepped, id_col=id_col)
     out = pairer.query(queries, id_col=id_col)
     return out.map_batches(

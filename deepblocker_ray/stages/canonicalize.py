@@ -36,8 +36,10 @@ CANONICAL_SCHEMA = pa.schema(
 
 def bucket_of(keys: pd.Series | np.ndarray, num_buckets: int) -> np.ndarray:
     """Deterministic hash bucket for string keys (stable across processes —
-    pandas' siphash with its fixed default key)."""
-    h = pd.util.hash_array(np.asarray(keys, dtype=object))
+    pandas' siphash with its fixed default key). ``categorize=False``: the
+    factorize shortcut treats keys that differ only after a ``"\\x00"`` as
+    one value, so composite ``a + "\\x00" + b`` keys would hash by batch."""
+    h = pd.util.hash_array(np.asarray(keys, dtype=object), categorize=False)
     return (h % np.uint64(num_buckets)).astype(np.int32)
 
 

@@ -1499,16 +1499,11 @@ def embedding_neardup(
     the big-data path — cell-routed probes instead of a full index scan per
     query), keep cosine ≥ τ, components.
     Output (doc_id, cluster_id, is_duplicate)."""
-    from ..stages.pairing import ExactTopKPairer, IVFTopKPairer
+    from ..stages.pairing import make_pairer
 
     cfg = cfg or EngineConfig()
     emb_ds = emb_ds.materialize()
-    if mode == "exact":
-        pairer = ExactTopKPairer(k=k, cfg=cfg, exclude_self=True)
-    elif mode == "ivf":
-        pairer = IVFTopKPairer(k=k, cfg=cfg, exclude_self=True)
-    else:
-        raise KeyError(f"unknown neardup mode {mode!r}")
+    pairer = make_pairer(mode, k, cfg)
     pairer.index(emb_ds, id_col=id_col)
     cand = pairer.query(emb_ds, id_col=id_col)
     near = cand.filter(expr=f"cosine >= {threshold}")

@@ -39,10 +39,6 @@ from ..functions.hash_embedding import HashEmbedding, mean_pool_embed
 from ..functions.tokenizer import tokenize
 
 
-def emb_type(dim: int) -> pa.DataType:
-    return pa.list_(pa.float32(), dim)
-
-
 def emb_to_numpy(col: pa.ChunkedArray | pa.Array, dim: int | None = None) -> np.ndarray:
     """fixed_size_list(float32, D) column → (n, D) float32 view (zero-copy).
     ``dim=None`` infers D from the Arrow type.

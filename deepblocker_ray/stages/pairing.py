@@ -763,3 +763,19 @@ class IVFTopKPairer:
         return left_ds.map_batches(
             query_fn, batch_format="pyarrow", batch_size=cfg.query_batch_size
         )
+
+
+PAIRERS = {"exact": ExactTopKPairer, "ivf": IVFTopKPairer}
+
+
+def make_pairer(
+    pairing: str, k: int, cfg: EngineConfig, exclude_self: bool = True
+):
+    """The top-K pairer for a pairing mode name ("exact" or "ivf")."""
+    try:
+        cls = PAIRERS[pairing]
+    except KeyError:
+        raise KeyError(
+            f"unknown pairing mode {pairing!r}; choose from {sorted(PAIRERS)}"
+        ) from None
+    return cls(k=k, cfg=cfg, exclude_self=exclude_self)

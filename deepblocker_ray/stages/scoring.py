@@ -35,12 +35,7 @@ from ..config import (
     actor_pool_size,
     parallel_blocks,
 )
-from ..functions.textsim import (
-    jaro_winkler,
-    jaro_winkler_batch,
-    levenshtein_ratio,
-    levenshtein_ratio_batch,
-)
+from ..functions.textsim import jaro_winkler_batch, levenshtein_ratio_batch
 from ..state.lookup import one_chunk
 
 SCORE_WEIGHTS = {"cosine": 0.4, "jw": 0.3, "lev": 0.3}
@@ -69,35 +64,6 @@ def _malloc_trim() -> None:
         _LIBC.malloc_trim(0)
     except Exception:  # non-glibc platform: nothing to trim
         pass
-
-
-def pair_similarity(
-    turns_a: list[str],
-    turns_b: list[str],
-    cosine: float,
-    cap: int,
-    weights: dict[str, float] = SCORE_WEIGHTS,
-) -> tuple[float, float, float]:
-    """(jw, lev, combined) for one candidate pair — scalar reference version;
-    the hot path uses score_lists_arrow."""
-    n = min(len(turns_a), len(turns_b))
-    if n == 0:
-        jw = lev = 0.0
-    else:
-        jw = float(
-            np.mean([jaro_winkler(turns_a[i][:cap], turns_b[i][:cap]) for i in range(n)])
-        )
-        lev = float(
-            np.mean(
-                [levenshtein_ratio(turns_a[i], turns_b[i], cap=cap) for i in range(n)]
-            )
-        )
-    cos = max(0.0, min(1.0, float(cosine)))
-    total_w = sum(weights.values())
-    combined = (
-        weights["cosine"] * cos + weights["jw"] * jw + weights["lev"] * lev
-    ) / total_w
-    return jw, lev, combined
 
 
 def score_pairs_batch(
@@ -200,7 +166,7 @@ def score_lists_arrow(
         base = int(cum[lo - 1]) if lo else 0
         hi = int(
             np.searchsorted(cum, base + FLAT_TURNS_PER_SLICE, side="right")
-        ) + 1
+        )
         hi = max(lo + 1, min(hi, n))
         flat_a, flat_b = _flat_range(va, oa, vb, ob, m, lo, hi, cap)
         lev_flat = levenshtein_ratio_batch(flat_a, flat_b)

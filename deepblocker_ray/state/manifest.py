@@ -123,18 +123,13 @@ def linkage_with_manifest(
     k: int = 8,
     threshold: float | None = None,
 ):
-    """Flagship pipeline broken into resumable manifest stages. Stage
-    boundaries are the natural checkpoint cuts: canonical tuples, embeddings,
-    candidates, scored matches, clusters."""
-    from ..config import EngineConfig, parallel_blocks
-    from ..pipelines.evaluate import normalize_pairs
-    from ..pipelines.linkage import make_embedder
-    from ..stages.canonicalize import canonicalize
-    from ..stages.cluster import connected_components
-    from ..stages.pairing import ExactTopKPairer
-    from ..stages.scoring import score_candidates
-
+    """The flagship chain (``pipelines.linkage.STAGES``, exact pairing) with
+    every stage checkpointed through ``ManifestRun.stage``: canonical
+    tuples, embeddings, raw top-K candidates, matches, clusters."""
     import ray.data as rd
+
+    from ..config import EngineConfig
+    from ..pipelines.linkage import _LinkJob, _run_chain
 
     cfg = cfg or EngineConfig()
     run = ManifestRun(run_dir)
@@ -142,46 +137,12 @@ def linkage_with_manifest(
               "input": transcripts_path, "emb_dim": cfg.emb_dim,
               "seed": cfg.seed}
 
-    tuples = run.stage(
-        "tuples",
-        lambda: parallel_blocks(
-            canonicalize(rd.read_parquet(transcripts_path), cfg)
-        ),
-        params=params,
-    ).materialize()
+    def stage(name, fn, deps):
+        return run.stage(name, fn, params=params, deps=deps).materialize()
 
-    def embed():
-        m = make_embedder(embedder, cfg)
-        m.fit(tuples, text_col="tuple_text")
-        return m.transform(tuples, id_col="conv_id")
-
-    emb = run.stage("embeddings", embed, params=params, deps=["tuples"]).materialize()
-
-    def block():
-        pairer = ExactTopKPairer(k=k, cfg=cfg, exclude_self=True)
-        return pairer.index(emb, id_col="conv_id").query(emb, id_col="conv_id")
-
-    cands = run.stage("candidates", block, params=params, deps=["embeddings"])
-
-    def score():
-        scored = score_candidates(cands, tuples, cfg=cfg, threshold=threshold)
-        return normalize_pairs(scored.filter(expr="is_match == True"))
-
-    matches = run.stage(
-        "matches", score, params=params, deps=["candidates", "tuples"]
-    ).materialize()
-
-    def cluster():
-        from ..pipelines.linkage import assign_cluster_labels
-
-        comp = connected_components(
-            matches, cfg, src="ltable_id", dst="rtable_id"
-        )
-        # shared guarded assignment: broadcast under broadcast_rows_max,
-        # left-outer join beyond it — never an unguarded to_pandas
-        return assign_cluster_labels(tuples, comp, cfg)
-
-    clusters = run.stage(
-        "clusters", cluster, params=params, deps=["matches", "tuples"]
+    job = _LinkJob(
+        cfg, k, threshold=threshold,
+        transcripts=rd.read_parquet(transcripts_path), embedder=embedder,
     )
-    return {"run": run, "clusters": clusters, "matches": matches}
+    out = _run_chain(job, stage)
+    return {"run": run, "clusters": out["clusters"], "matches": out["matches"]}

@@ -99,6 +99,42 @@ class TestCanonicalize:
         assert got_trunc == want_trunc
 
 
+class TestBucketOf:
+    """Keys that share a prefix up to a ``"\x00"`` — every composite
+    ``a + "\x00" + b`` exchange key — must bucket by value, not by which
+    other keys ride in the same batch."""
+
+    def test_mixed_batch_equals_single_keys(self):
+        from deepblocker_ray.stages.canonicalize import bucket_of
+
+        keys = ["a\x00z", "a\x00x", "a", "b\x00x", "a\x00", "plain"]
+        got = bucket_of(np.array(keys, dtype=object), 128)
+        one = [int(bucket_of(np.array([k], dtype=object), 128)[0]) for k in keys]
+        assert got.tolist() == one
+
+    def test_normalize_pairs_dedups_across_blocks(self, ray_session):
+        import ray.data as rd
+
+        from deepblocker_ray.pipelines.evaluate import normalize_pairs
+
+        # ("a", "x") in two blocks; in the first it shares a batch with
+        # ("a", "z"), whose key agrees with it up to the NUL separator.
+        # Filler makes each block its own batch.
+        def block(pairs, tag):
+            fill = [(f"{tag}{i}", f"{tag}{i}y") for i in range(1100)]
+            left, right = zip(*(pairs + fill))
+            return pd.DataFrame({"left_id": left, "right_id": right})
+
+        ds = rd.from_pandas(
+            [block([("a", "z"), ("a", "x")], "f"), block([("x", "a")], "g")]
+        )
+        out = normalize_pairs(ds).to_pandas()
+        ax = out[(out["ltable_id"] == "a") & (out["rtable_id"] == "x")]
+        assert len(ax) == 1
+        assert not out.duplicated().any()
+        assert len(out) == 2 + 2 * 1100
+
+
 class TestDocumentDerivedTranscripts:
     def test_pandas_matches_sql(self):
         """The python generator and its DuckDB twin must agree byte-exact —

@@ -401,6 +401,41 @@ class TestScoreViaJoin:
         )
         assert got2.to_pylist() == rows + [[]]
 
+    def test_score_lists_arrow_slices_within_budget(self, monkeypatch):
+        """No kernel slice holds more than FLAT_TURNS_PER_SLICE aligned
+        turn pairs unless one row alone does; the scores do not depend on
+        the budget."""
+        import pyarrow as pa
+
+        from deepblocker_ray.stages import scoring
+
+        # 4-turn rows, one 12-turn row over the budget, short rows, empties
+        rows = [[f"turn {i} {j}" for j in range(4)] for i in range(6)]
+        rows += [[f"long {j}" for j in range(12)], [], ["one"], ["a", "b"]]
+        rows += [[f"more {i} {j}" for j in range(4)] for i in range(3)]
+        arr_a = pa.array(rows, pa.list_(pa.string()))
+        arr_b = pa.array(
+            [[t + "!" for t in r] for r in rows], pa.list_(pa.string())
+        )
+        cos = np.linspace(0.1, 0.9, len(rows))
+        want = scoring.score_lists_arrow(arr_a, arr_b, cos, cap=128)
+
+        slices = []
+        flat_range = scoring._flat_range
+
+        def record(va, oa, vb, ob, m, lo, hi, cap):
+            slices.append(m[lo:hi].tolist())
+            return flat_range(va, oa, vb, ob, m, lo, hi, cap)
+
+        monkeypatch.setattr(scoring, "FLAT_TURNS_PER_SLICE", 10)
+        monkeypatch.setattr(scoring, "_flat_range", record)
+        got = scoring.score_lists_arrow(arr_a, arr_b, cos, cap=128)
+        assert sum(len(s) for s in slices) == len(rows)
+        for s in slices:
+            assert sum(s) <= 10 or len(s) == 1, slices
+        for w, g in zip(want, got):
+            np.testing.assert_array_equal(w, g)
+
     def test_score_lists_arrow_matches_python_batch(self):
         import pyarrow as pa
 

@@ -121,3 +121,36 @@ def test_sharded_fixture_params_manifest(ray_session, tmp_path):
     synth_transcripts_sharded(out, 200, n_shards=2, seed=7)
     with pytest.raises(ValueError, match="generated with"):
         synth_transcripts_sharded(out, 200, n_shards=2, seed=8)
+
+
+def test_checkpointed_equals_in_memory(ray_session, tmp_path):
+    """The checkpointed run computes what the in-memory run computes: the
+    same match rows (none twice), the same clusters, and a candidates
+    checkpoint that is the raw top-k (exactly k rows per conversation)."""
+    import ray.data as rd
+
+    from deepblocker_ray.pipelines.linkage import link_transcripts
+
+    df, _ = synth_transcripts(n_base=600, seed=7)
+    path = str(tmp_path / "transcripts.parquet")
+    df.to_parquet(path)
+    cfg = EngineConfig()
+    run_dir = str(tmp_path / "run")
+    ckpt = linkage_with_manifest(path, run_dir, cfg=cfg, k=8)
+    mem = link_transcripts(rd.read_parquet(path), cfg, embedder="sif", k=8)
+
+    def rows(ds, cols):
+        return ds.to_pandas()[cols].sort_values(cols).reset_index(drop=True)
+
+    pair = ["ltable_id", "rtable_id"]
+    got, want = rows(ckpt["matches"], pair), rows(mem["matches"], pair)
+    assert not got.duplicated().any()
+    pd.testing.assert_frame_equal(got, want)
+    label = ["conv_id", "cluster_id"]
+    pd.testing.assert_frame_equal(
+        rows(ckpt["clusters"], label), rows(mem["clusters"], label)
+    )
+    cand = rd.read_parquet(os.path.join(run_dir, "candidates", "data"))
+    per_conv = cand.to_pandas().groupby("left_id").size()
+    assert len(per_conv) == df["conv_id"].nunique()
+    assert (per_conv == 8).all()

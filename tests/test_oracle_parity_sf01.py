@@ -3,6 +3,8 @@ parity-only driver queries re-run against their DuckDB twins at sf0.01 —
 the same scale the judge's manual re-checks used. Marked ``sf01`` so the
 slice can be selected/deselected (`-m sf01`); runs in the default suite."""
 
+import os
+
 import duckdb
 import pandas as pd
 import pytest
@@ -20,15 +22,14 @@ HEAVY = ["pagerank", "edit_join", "auc_eval", "pretrain_curate",
 
 @pytest.fixture(scope="module")
 def con01():
+    if not os.path.isdir(SF_DIR):
+        pytest.skip(f"sf0.01 data not present at {SF_DIR}")
     c = duckdb.connect()
     for t in TABLES:
-        try:
-            c.execute(
-                f"CREATE VIEW {t} AS SELECT * FROM "
-                f"read_parquet('{SF_DIR}/{t}.parquet')"
-            )
-        except duckdb.IOException:
-            pass
+        c.execute(
+            f"CREATE VIEW {t} AS SELECT * FROM "
+            f"read_parquet('{SF_DIR}/{t}.parquet')"
+        )
     return c
 
 
