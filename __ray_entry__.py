@@ -480,7 +480,7 @@ def q_blocking_vec(sf_dir: str):
         emb, id_col="conv_id"
     )
     cand = _dedup_candidates(
-        pairer.query(emb, id_col="conv_id").materialize(), cfg
+        pairer.query(emb, id_col="conv_id").materialize()
     )
     return cand.map_batches(
         lambda t: pa.table(

@@ -58,8 +58,9 @@ class EngineConfig:
     # tile must fit a worker heap: 65536 × 2048 × 4B ≈ 0.5 GiB sim tile max
     index_shard_rows: int = 65536
 
-    # hash-partition bucket count for key-grouped exchanges (canonicalize,
-    # dedup). ≥4× total cores so stragglers rebalance.
+    # hash-partition bucket count for the bucketed key-grouped exchanges
+    # (dedup, events, …; the flagship chain's exchanges sort on the raw
+    # key instead). ≥4× total cores so stragglers rebalance.
     num_buckets: int = 128
 
     # driver-side training-sample cap (fit corpus at 10^12-turn scale cannot
@@ -150,6 +151,14 @@ def actor_pool_size(configured: int | tuple | None) -> int | tuple:
     return (min(8, n), n)
 
 
+def sized_block_target(
+    n: int, factor: int = 2, min_rows_per_block: int = 256
+) -> int:
+    """Block count for ``n`` rows: factor × CPUs, but never below
+    ``min_rows_per_block`` rows a block."""
+    return min(default_parallelism() * factor, max(1, n // min_rows_per_block))
+
+
 def parallel_blocks_sized(mat_ds, factor: int = 2, min_rows_per_block: int = 256):
     """Size-aware variant of ``parallel_blocks`` for MATERIALIZED inputs
     (count/num_blocks are metadata there): repartition toward
@@ -159,10 +168,7 @@ def parallel_blocks_sized(mat_ds, factor: int = 2, min_rows_per_block: int = 256
     3.5 s → 5.1 s after an unconditional repartition seam appeared).
     Existing block structure is kept whenever it already meets the (capped)
     target, so the small-input path costs nothing."""
-    n = mat_ds.count()
-    target = min(
-        default_parallelism() * factor, max(1, n // min_rows_per_block)
-    )
+    target = sized_block_target(mat_ds.count(), factor, min_rows_per_block)
     if mat_ds.num_blocks() >= target:
         return mat_ds
     return mat_ds.repartition(target).materialize()

@@ -232,6 +232,7 @@ def synth_transcripts_sharded(
     change apart from a resumed run)."""
     import json
     import os
+    import tempfile
 
     import ray
 
@@ -245,20 +246,28 @@ def synth_transcripts_sharded(
         "big_cluster": big_cluster,
     }
     manifest = os.path.join(out_dir, "params.json")
-    if os.path.exists(manifest):
-        with open(manifest) as f:
-            prev = json.load(f)
-        if prev != params:
-            raise ValueError(
-                f"synth_transcripts_sharded: {out_dir} was generated with "
-                f"{prev}, requested {params} — use a different out_dir or "
-                "delete the stale shards"
-            )
-    else:
-        tmp = manifest + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(params, f)
-        os.replace(tmp, manifest)
+    if not os.path.exists(manifest):
+        # a private temp name per caller, published with os.link, which
+        # fails if the manifest exists: of two first-time callers exactly
+        # one publishes a complete file, and the re-read below makes the
+        # other compare against it
+        fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as f:
+                json.dump(params, f)
+            os.link(tmp, manifest)
+        except FileExistsError:
+            pass
+        finally:
+            os.unlink(tmp)
+    with open(manifest) as f:
+        prev = json.load(f)
+    if prev != params:
+        raise ValueError(
+            f"synth_transcripts_sharded: {out_dir} was generated with "
+            f"{prev}, requested {params} — use a different out_dir or "
+            "delete the stale shards"
+        )
     per = -(-n_base_total // n_shards)
 
     @ray.remote(num_cpus=1)

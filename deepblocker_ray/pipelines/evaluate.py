@@ -17,38 +17,30 @@ import pyarrow.compute as pc
 import ray
 
 from ..config import EngineConfig
-from ..stages.canonicalize import bucket_of
+from ..stages.canonicalize import bucket_of, exchange
 
 
 def normalize_pairs(ds, left_col: str = "left_id", right_col: str = "right_id"):
     """(a,b) → unordered (ltable_id=min, rtable_id=max), self-pairs dropped,
-    exact-deduped via hash-bucket groupby (U3)."""
-    cfg = EngineConfig()
+    exact-deduped in one key exchange on ltable_id (U3)."""
 
     def norm(batch: pa.Table) -> pa.Table:
         a = batch.column(left_col).cast(pa.string())
         b = batch.column(right_col).cast(pa.string())
         lo = pc.min_element_wise(a, b)
         hi = pc.max_element_wise(a, b)
-        keep = pc.not_equal(lo, hi)
-        t = pa.table({"ltable_id": lo, "rtable_id": hi}).filter(keep)
-        key = pc.binary_join_element_wise(
-            t.column("ltable_id"), t.column("rtable_id"), "\x00"
+        return pa.table({"ltable_id": lo, "rtable_id": hi}).filter(
+            pc.not_equal(lo, hi)
         )
-        import numpy as np
 
-        bucket = bucket_of(key.to_pandas(), cfg.num_buckets)
-        return t.append_column("_bucket", pa.array(bucket))
+    def dedup(t: pa.Table) -> pa.Table:
+        return t.group_by(
+            ["ltable_id", "rtable_id"], use_threads=False
+        ).aggregate([])
 
-    def dedup(group: pd.DataFrame) -> pd.DataFrame:
-        return group.drop_duplicates(["ltable_id", "rtable_id"])[
-            ["ltable_id", "rtable_id"]
-        ]
-
-    return (
-        ds.map_batches(norm, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(dedup, batch_format="pandas")
+    return exchange(
+        ds.map_batches(norm, batch_format="pyarrow"), "ltable_id", dedup,
+        "pyarrow",
     )
 
 

@@ -29,8 +29,8 @@ from typing import Any
 import pandas as pd
 import pyarrow as pa
 
-from ..config import EngineConfig, parallel_blocks_sized
-from ..stages.canonicalize import canonicalize
+from ..config import EngineConfig, sized_block_target
+from ..stages.canonicalize import canonicalize, exchange
 from ..stages.cluster import connected_components
 from ..stages.deep_embed import AutoEncoderEmbedder, CTTEmbedder, HybridEmbedder
 from ..stages.embed import AverageEmbedder, SIFEmbedder
@@ -58,45 +58,36 @@ def make_embedder(name_or_obj, cfg: EngineConfig):
         ) from None
 
 
-def _dedup_candidates(candidates, cfg: EngineConfig):
+def _dedup_candidates(candidates):
     """Orient candidate pairs (min,max) and exact-dedup so self-linkage
     scores each unordered pair ONCE — the query stage emits both directions
     for mutual nearest neighbors, which would double the (dominant) pairwise
     scoring cost. Cosine is symmetric so either orientation's value is kept;
-    rank keeps the smaller (better) of the two. One skinny-row shuffle keyed
-    on the pair hash (same bucket scheme as every other key exchange)."""
+    rank keeps the smaller (better) of the two. One skinny-row key exchange
+    on the oriented ``left_id``: both copies of a pair meet in one block."""
     import numpy as np
-
-    from ..stages.canonicalize import bucket_of
-
-    nb = cfg.num_buckets
 
     def orient(df: pd.DataFrame) -> pd.DataFrame:
         a = df["left_id"].to_numpy(object)
         b = df["right_id"].to_numpy(object)
-        lo = np.minimum(a, b)
-        hi = np.maximum(a, b)
-        out = pd.DataFrame(
+        return pd.DataFrame(
             {
-                "left_id": lo,
-                "right_id": hi,
+                "left_id": np.minimum(a, b),
+                "right_id": np.maximum(a, b),
                 "rank": df["rank"].to_numpy(),
                 "cosine": df["cosine"].to_numpy(),
             }
         )
-        out["_bucket"] = bucket_of(lo + hi, nb)
-        return out
 
     def dedup(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["left_id", "right_id", "rank"], kind="stable")
-        return g.drop_duplicates(["left_id", "right_id"])[
-            ["left_id", "right_id", "rank", "cosine"]
-        ]
+        return g.drop_duplicates(["left_id", "right_id"])
 
-    return (
-        candidates.map_batches(orient, batch_format="pandas")
-        .groupby("_bucket")
-        .map_groups(dedup, batch_format="pandas")
+    return exchange(
+        candidates.map_batches(orient, batch_format="pandas"),
+        "left_id",
+        dedup,
+        "pandas",
     )
 
 
@@ -184,8 +175,21 @@ class _LinkJob:
 
 
 def _canonical_tuples(transcripts, cfg: EngineConfig, turn_cap: int | None):
-    return parallel_blocks_sized(
-        canonicalize(transcripts, cfg, turn_cap=turn_cap).materialize()
+    """Canonical tuples in a layout that is the same every run.
+    ``canonicalize`` returns them sorted by conv_id, but its block
+    boundaries follow the sort's sampled ranges; the order-preserving
+    repartition splits that order into equal row blocks of the sized
+    target, and each block is made one chunk (a block's chunking shapes its
+    Parquet pages), so the SIF fit and the checkpoint files see the same
+    blocks run to run."""
+    tuples = canonicalize(transcripts, cfg, turn_cap=turn_cap).materialize()
+    return (
+        tuples.repartition(sized_block_target(tuples.count()))
+        .map_batches(
+            lambda t: t.combine_chunks(), batch_format="pyarrow",
+            batch_size=None,
+        )
+        .materialize()
     )
 
 
@@ -210,7 +214,7 @@ def _candidates(job: _LinkJob, out: dict):
 
 
 def _matches(job: _LinkJob, out: dict):
-    candidates = _dedup_candidates(out["candidates"], job.cfg)
+    candidates = _dedup_candidates(out["candidates"])
     # barrier between score and the normalize_pairs exchange: measured A/B at
     # 8 CPUs on 428k turns, fusing the compute-heavy score map into the same
     # execution as the downstream groupby costs 39.6s → 67.0s — the hazard

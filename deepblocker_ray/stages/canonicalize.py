@@ -8,11 +8,11 @@ turn, arriving in arbitrary row order; the per-row invariant is **per-turn
 text equality under stable turn ordering**: the canonical tuple must equal the
 ' '-join of per-turn fragments sorted by turn_idx.
 
-Distribution: hash-bucket exchange (conv_id → bucket) then vectorized pandas
-within each bucket — one shuffle keyed on a small int, group logic vectorized
-per bucket instead of one Python call per conversation, so cost scales with
-buckets × rows, not with the number of conversations. Skew guard: ``turn_cap``
-truncates pathological conversations (counted in the output).
+Distribution: one key exchange on conv_id (``exchange``: a range-partitioned
+sort, then vectorized pandas over each whole shuffled block) — group logic
+runs once per block over every conversation in it, never one Python call
+per conversation or per bucket. Skew guard: ``turn_cap`` truncates
+pathological conversations (counted in the output).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import pandas as pd
 import pyarrow as pa
 
 from ..config import EngineConfig
+from ..state.lookup import id_hash
 
 CANONICAL_SCHEMA = pa.schema(
     [
@@ -36,11 +37,23 @@ CANONICAL_SCHEMA = pa.schema(
 
 def bucket_of(keys: pd.Series | np.ndarray, num_buckets: int) -> np.ndarray:
     """Deterministic hash bucket for string keys (stable across processes —
-    pandas' siphash with its fixed default key). ``categorize=False``: the
-    factorize shortcut treats keys that differ only after a ``"\\x00"`` as
-    one value, so composite ``a + "\\x00" + b`` keys would hash by batch."""
-    h = pd.util.hash_array(np.asarray(keys, dtype=object), categorize=False)
-    return (h % np.uint64(num_buckets)).astype(np.int32)
+    pandas' siphash with its fixed default key; ``id_hash`` keeps composite
+    ``a + "\\x00" + b`` keys from hashing by batch)."""
+    return (id_hash(keys) % np.uint64(num_buckets)).astype(np.int32)
+
+
+def exchange(ds, key: str, fn, batch_format: str):
+    """Key exchange: every row of one ``key`` value reaches ONE call of ``fn``.
+
+    ``ds.sort(key)`` range-partitions on the key, so all rows of a key value
+    land in one output block (Ray's own ``GroupedData.map_groups`` relies on
+    the same property), and ``batch_size=None`` hands ``fn`` whole blocks.
+    ``fn`` therefore runs once per shuffled block, vectorized over every key
+    in it — not once per hash bucket — and sorting on the raw key needs no
+    bucket column. ``fn`` must not assume one key per call."""
+    return ds.sort(key).map_batches(
+        fn, batch_size=None, batch_format=batch_format
+    )
 
 
 def turn_fragment(
@@ -58,7 +71,7 @@ def turn_fragment(
     return frag
 
 
-def _canonicalize_bucket(
+def _canonicalize_block(
     group: pd.DataFrame, turn_cap: int | None, on_duplicate: str
 ) -> pa.Table:
     g = group.sort_values(["conv_id", "turn_idx"], kind="stable")
@@ -115,24 +128,23 @@ def canonicalize(
     turn_cap: int | None = None,
     on_duplicate: str = "error",
 ):
-    """transcripts Dataset → canonical tuples Dataset (CANONICAL_SCHEMA).
+    """transcripts Dataset → canonical tuples Dataset (CANONICAL_SCHEMA),
+    sorted by conv_id.
 
-    One shuffle (groupby bucket); group bodies are vectorized pandas.
+    One key exchange on conv_id; each shuffled block is canonicalized by
+    one vectorized pandas pass.
     """
-    cfg = cfg or EngineConfig()
-    nb = cfg.num_buckets
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[["conv_id", "turn_idx", "role", "text", "tool"]]
-        return df.assign(_bucket=bucket_of(df["conv_id"], nb))
+    def per_block(group: pd.DataFrame) -> pa.Table:
+        return _canonicalize_block(group, turn_cap, on_duplicate)
 
-    def per_bucket(group: pd.DataFrame) -> pa.Table:
-        return _canonicalize_bucket(group, turn_cap, on_duplicate)
-
-    return (
-        transcripts.map_batches(add_bucket, batch_format="pandas")
-        .groupby("_bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+    return exchange(
+        transcripts.select_columns(
+            ["conv_id", "turn_idx", "role", "text", "tool"]
+        ),
+        "conv_id",
+        per_block,
+        "pandas",
     )
 
 

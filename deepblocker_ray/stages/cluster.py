@@ -3,13 +3,17 @@
 No reference equivalent (the reference stops at blocking); required by
 BASELINE.json north_rule. Implemented as iterative min-label propagation
 with pointer jumping — each round: every node adopts the minimum label among
-itself and its neighbors (two small-int bucket exchanges: attach labels to
-edge endpoints, then min-reduce per node), then label(v) ← label(label(v))
-(one more n-row exchange) so label-pointer distance doubles per round.
-Converges in O(log diameter) rounds — max_iter=25 covers diameter ~2²⁵. For
-provably small edge sets a driver-side union-find fast path avoids the
-per-round shuffles (the BTS ICDE'24 load-balanced variant is the upgrade
-path for adversarial graphs — PAPERS.md).
+itself and its neighbors (two key exchanges: attach labels to edge
+endpoints, then min-reduce per node), then label(v) ← label(label(v)) (one
+more n-row exchange). Each exchange runs one Arrow kernel per shuffled block
+(``canonicalize.exchange``). Pointer jumping makes an id-ordered chain
+converge in O(log diameter) rounds, but that bound does not hold in general:
+on a path whose ids are in random order the rounds grow with the path
+length (simulated: 6–21 rounds at 30 nodes, 27–74 at 100, 50–144 at 300).
+Running out of ``max_iter`` rounds raises rather than return split
+clusters. For provably small edge sets a driver-side union-find fast path
+avoids the per-round shuffles (the BTS ICDE'24 load-balanced variant is the
+upgrade path for adversarial graphs — PAPERS.md).
 
 Convergence detection is a cheap label-signature pass (sum of row hashes),
 not a join of old vs new labels.
@@ -20,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import EngineConfig, default_parallelism
 
@@ -76,14 +81,14 @@ def connected_components(
     """edges Dataset → (conv_id, cluster_id) Dataset. cluster_id is the
     minimum conv_id in the component (deterministic).
 
-    ``stats_out`` (if given) receives ``converged`` (bool) and ``rounds`` so
-    callers can detect degraded output programmatically; with pointer
-    jumping (label doubling: each round also replaces label(v) with
-    label(label(v))) max_iter=25 covers graph diameter ~2²⁵, so
-    non-convergence is only reachable on adversarial inputs."""
+    ``stats_out`` (if given) receives ``converged`` (bool) and ``rounds``.
+    Pointer jumping (each round also replaces label(v) with label(label(v)))
+    bounds the rounds by O(log diameter) only for id-ordered chains; a long
+    path with ids in random order can need more than ``max_iter`` rounds.
+    Then ``stats_out`` is filled and RuntimeError is raised: unconverged
+    labels split components."""
     import ray.data as rd
 
-    cfg = cfg or EngineConfig()
     if stats_out is not None:
         stats_out.update(converged=True, rounds=0)
     n_edges = edges_ds.count()
@@ -97,116 +102,100 @@ def connected_components(
         return rd.from_pandas(union_find_pandas(pdf, src, dst))
 
     # Homogeneous triple encoding (key, val, is_label) lets one union +
-    # groupby implement "attach each node's label to its edges" without
+    # key exchange implement "attach each node's label to its edges" without
     # Dataset.join (whose aggregator-actor CPU reservation can deadlock
-    # against backpressured upstream tasks on small sessions).
-    from .canonicalize import bucket_of
+    # against backpressured upstream tasks on small sessions). Every
+    # exchange body is a whole-block Arrow kernel (hash join + min
+    # group-by), vectorized over all the keys the block holds.
+    from .canonicalize import exchange
 
-    nb = cfg.num_buckets
+    def triples(key, val, is_label: bool) -> pa.Table:
+        return pa.table(
+            {
+                "key": key,
+                "val": val,
+                "is_label": pa.repeat(pa.scalar(is_label), len(key)),
+            }
+        )
+
+    def cat(*cols: pa.ChunkedArray) -> pa.ChunkedArray:
+        return pa.chunked_array([c for col in cols for c in col.chunks])
+
+    def min_label(conv_id, cluster_id) -> pa.Table:
+        """(conv_id, min cluster_id) per distinct conv_id."""
+        return (
+            pa.table({"conv_id": conv_id, "cluster_id": cluster_id})
+            .group_by("conv_id", use_threads=False)
+            .aggregate([("cluster_id", "min")])
+            .rename_columns(["conv_id", "cluster_id"])
+        )
+
+    def lookup(t: pa.Table) -> pa.Table:
+        """Request rows (is_label False) joined to the label row of their
+        key: (val, label(key)) per request."""
+        lab = t.filter(t.column("is_label")).select(["key", "val"])
+        req = t.filter(pc.invert(t.column("is_label"))).select(["key", "val"])
+        return req.join(
+            lab.rename_columns(["key", "label"]), "key",
+            join_type="inner", use_threads=False,
+        )
 
     def to_edge(batch: pa.Table) -> pa.Table:
         a = batch.column(src).cast(pa.string()).combine_chunks()
         b = batch.column(dst).cast(pa.string()).combine_chunks()
-        key = pa.concat_arrays([a, b])
-        t = pa.table(
-            {
-                "key": key,
-                "val": pa.concat_arrays([b, a]),
-                "is_label": pa.array([False] * (len(a) + len(b))),
-            }
-        )
-        return t.append_column(
-            "_bucket", pa.array(bucket_of(key.to_pandas(), nb))
+        return triples(
+            pa.concat_arrays([a, b]), pa.concat_arrays([b, a]), False
         )
 
     edges = edges_ds.map_batches(to_edge, batch_format="pyarrow").materialize()
 
-    def init_labels(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.groupby("key", sort=False)["val"].min()
-        conv = c.index.values
-        return pd.DataFrame(
-            {"conv_id": conv, "cluster_id": np.minimum(conv, c.values)}
-        )
+    def init_labels(t: pa.Table) -> pa.Table:
+        # a node's label starts at min(itself, its neighbors)
+        key = t.column("key")
+        return min_label(cat(key, key), cat(key, t.column("val")))
 
-    labels = (
-        edges.groupby("_bucket")
-        .map_groups(init_labels, batch_format="pandas")
-        .materialize()
-    )
+    labels = exchange(edges, "key", init_labels, "pyarrow").materialize()
     sig = _label_signature(labels)
 
-    def propagate(group: pd.DataFrame) -> pd.DataFrame:
-        """One bucket: map node→label, emit (nbr, node_label) per edge plus
-        the node's own label row (vectorized pandas merge). Combines
-        per-node mins BEFORE the second exchange (partial aggregation), and
-        emits the next exchange's bucket key."""
-        lab = group[group["is_label"]]
-        edg = group[~group["is_label"]]
-        merged = edg.merge(
-            lab[["key", "val"]].rename(columns={"val": "label"}), on="key"
-        )
-        out_key = pd.concat([merged["val"], lab["key"]], ignore_index=True)
-        out_val = pd.concat([merged["label"], lab["val"]], ignore_index=True)
-        c = (
-            pd.DataFrame({"conv_id": out_key, "cluster_id": out_val})
-            .groupby("conv_id", sort=False)["cluster_id"]
-            .min()
-        )
-        return pd.DataFrame(
-            {
-                "conv_id": c.index.values,
-                "cluster_id": c.values,
-                "_bucket": bucket_of(c.index.values, nb),
-            }
+    def propagate(t: pa.Table) -> pa.Table:
+        """Each node's label to its neighbors, plus the node's own label
+        row, min-combined per receiving node BEFORE the next exchange
+        (partial aggregation)."""
+        m = lookup(t)
+        lab = t.filter(t.column("is_label"))
+        return min_label(
+            cat(m.column("val"), lab.column("key")),
+            cat(m.column("label"), lab.column("val")),
         )
 
-    def min_reduce(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.groupby("conv_id", sort=False)["cluster_id"].min()
-        return pd.DataFrame(
-            {"conv_id": c.index.values, "cluster_id": c.values}
-        )
+    def min_reduce(t: pa.Table) -> pa.Table:
+        return min_label(t.column("conv_id"), t.column("cluster_id"))
 
-    def shortcut_group(group: pd.DataFrame) -> pd.DataFrame:
-        """One bucket of the pointer-jumping exchange: request rows
-        (key=label(v), val=v) look up label(label(v)) from the label rows
-        (key=x, val=label(x)). Labels are always node ids and label(x) ≤ x,
-        so the inner merge is total and monotone — no min needed."""
-        lab = group[group["is_label"]]
-        req = group[~group["is_label"]]
-        merged = req.merge(
-            lab[["key", "val"]].rename(columns={"val": "label"}), on="key"
-        )
-        return pd.DataFrame(
-            {"conv_id": merged["val"], "cluster_id": merged["label"]}
+    def shortcut_block(t: pa.Table) -> pa.Table:
+        """Request rows (key=label(v), val=v) look up label(label(v)) from
+        the label rows (key=x, val=label(x)). Labels are always node ids and
+        label(x) ≤ x, so the inner join is total and monotone — no min
+        needed."""
+        m = lookup(t)
+        return pa.table(
+            {"conv_id": m.column("val"), "cluster_id": m.column("label")}
         )
 
     def shortcut(labels_ds):
         """label(v) ← label(label(v)): doubles the label-pointer distance per
-        round, so propagate+shortcut converges in O(log diameter) rounds
-        instead of O(diameter). One n-row bucket exchange (cheaper than the
-        2|E|-row propagate)."""
+        round. One n-row key exchange (cheaper than the 2|E|-row
+        propagate)."""
 
         def to_rows(t: pa.Table) -> pa.Table:
             node = t.column("conv_id").combine_chunks()
             lab = t.column("cluster_id").combine_chunks()
-            key = pa.concat_arrays([lab, node])
-            out = pa.table(
-                {
-                    "key": key,
-                    "val": pa.concat_arrays([node, lab]),
-                    "is_label": pa.array(
-                        [False] * len(node) + [True] * len(node)
-                    ),
-                }
-            )
-            return out.append_column(
-                "_bucket", pa.array(bucket_of(key.to_pandas(), nb))
+            return pa.concat_tables(
+                [triples(lab, node, False), triples(node, lab, True)]
             )
 
-        return (
-            labels_ds.map_batches(to_rows, batch_format="pyarrow")
-            .groupby("_bucket")
-            .map_groups(shortcut_group, batch_format="pandas")
+        return exchange(
+            labels_ds.map_batches(to_rows, batch_format="pyarrow"),
+            "key", shortcut_block, "pyarrow",
         )
 
     converged = False
@@ -214,27 +203,16 @@ def connected_components(
     for _ in range(max_iter):
         rounds += 1
         label_rows = labels.map_batches(
-            lambda t: pa.table(
-                {
-                    "key": t.column("conv_id"),
-                    "val": t.column("cluster_id"),
-                    "is_label": pa.array([True] * len(t)),
-                }
-            ).append_column(
-                "_bucket",
-                pa.array(bucket_of(t.column("conv_id").to_pandas(), nb)),
+            lambda t: triples(
+                t.column("conv_id"), t.column("cluster_id"), True
             ),
             batch_format="pyarrow",
         )
-        # two small-int bucket exchanges (propagate keyed on edge endpoint,
-        # min-reduce keyed on the receiving node) — never a per-distinct-key
-        # Ray groupby, which is pathological at node-count cardinality
-        propagated = (
-            edges.union(label_rows)
-            .groupby("_bucket")
-            .map_groups(propagate, batch_format="pandas")
-            .groupby("_bucket")
-            .map_groups(min_reduce, batch_format="pandas")
+        # two key exchanges: propagate keyed on the edge endpoint, min-reduce
+        # keyed on the receiving node
+        propagated = exchange(
+            exchange(edges.union(label_rows), "key", propagate, "pyarrow"),
+            "conv_id", min_reduce, "pyarrow",
         )
         new_labels = shortcut(propagated).materialize()
         new_sig = _label_signature(new_labels)
@@ -246,15 +224,11 @@ def connected_components(
     if stats_out is not None:
         stats_out.update(converged=converged, rounds=rounds)
     if not converged:
-        import logging
-
-        logging.getLogger(__name__).warning(
+        raise RuntimeError(
             "connected_components: min-label propagation did not reach a "
-            "fixpoint after %d rounds — components with graph diameter "
-            "beyond ~2^%d may be split into multiple clusters (callers can "
-            "detect this via stats_out['converged']).",
-            max_iter,
-            max_iter,
+            f"fixpoint after {rounds} rounds (max_iter={max_iter}); its "
+            "labels would split components. Raise max_iter or the "
+            "driver_threshold of the union-find fast path."
         )
     return labels
 

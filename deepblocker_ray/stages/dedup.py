@@ -46,6 +46,7 @@ import pyarrow as pa
 from ..config import EngineConfig
 from ..stages.canonicalize import bucket_of
 from ..stages.cluster import connected_components
+from ..state.lookup import id_hash
 
 _MERSENNE = np.uint64((1 << 61) - 1)
 _POLY = np.uint64(1099511628211)
@@ -289,12 +290,7 @@ def exact_dedup(
             {
                 "_pid": t.column("doc_id").cast(pa.string()),
                 "_ph": pa.array(
-                    pd.util.hash_array(
-                        np.asarray(
-                            t.column("doc_id").cast(pa.string()).to_pylist(),
-                            dtype=object,
-                        )
-                    )
+                    id_hash(t.column("doc_id").cast(pa.string()).to_pylist())
                 ),
                 "_n": t.column("n_dups"),
             }
@@ -624,7 +620,7 @@ def _verify_pairs(cand, payload_ds, id_col, payload_col, cfg, pair_fn):
                 ],
             )
         ids = t.column(id_col).cast(pa.string())
-        ph = pd.util.hash_array(np.asarray(ids.to_pylist(), dtype=object))
+        ph = id_hash(ids.to_pylist())
         return pa.table(
             {"_pid": ids, "_ph": pa.array(ph), "_payload": pay}
         )
@@ -2263,13 +2259,7 @@ def segment_dedup(
             lambda t: pa.table(
                 {
                     "_pid": t.column("_pid").cast(pa.string()),
-                    "_ph": pa.array(
-                        pd.util.hash_array(
-                            np.asarray(
-                                t.column("_pid").to_pylist(), dtype=object
-                            )
-                        )
-                    ),
+                    "_ph": pa.array(id_hash(t.column("_pid").to_pylist())),
                     "_blob": t.column("_blob").cast(pa.large_binary()),
                 }
             ),

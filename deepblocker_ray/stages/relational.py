@@ -3643,8 +3643,11 @@ def min_balance_supplier(lineitem, supplier, part, cfg: EngineConfig):
     map-side merge; above → hash-join fallback — supplier and part GROW
     with scale factor, so neither is ever materialized driver-side); ONE
     hash(partkey) exchange and a per-bucket lexsort-head argmin; part
-    names attach to the ≤|part| winner rows the same guarded way. No
-    fact table ever carries payload through an exchange."""
+    names attach to the ≤|part| winner rows the same guarded way. The
+    supplier (cents, s_name) payload attaches BEFORE the exchange, so it
+    rides it once per distinct (partkey, suppkey) row of a batch — near
+    fact cardinality — trading exchange bytes for no second attach after
+    the argmin."""
     nb = cfg.num_buckets
 
     def l_rows(t: pa.Table) -> pa.Table:

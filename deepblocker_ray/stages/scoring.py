@@ -36,7 +36,7 @@ from ..config import (
     parallel_blocks,
 )
 from ..functions.textsim import jaro_winkler_batch, levenshtein_ratio_batch
-from ..state.lookup import one_chunk
+from ..state.lookup import id_hash, one_chunk
 
 SCORE_WEIGHTS = {"cosine": 0.4, "jw": 0.3, "lev": 0.3}
 
@@ -235,7 +235,7 @@ def _turn_refs(tuples_ds, id_col: str):
 
     def project(t: pa.Table) -> pa.Table:
         ids = t.column(id_col).cast(pa.string())
-        h = pd.util.hash_array(np.asarray(ids.to_pylist(), dtype=object))
+        h = id_hash(ids.to_pylist())
         return pa.table(
             {
                 "_id": ids,

@@ -28,6 +28,15 @@ import pyarrow as pa
 import ray
 
 
+def id_hash(ids) -> np.ndarray:
+    """Stable uint64 hash of string ids: the one hash both the build side
+    (``hash_col`` projections) and the lookup side of ``ColumnLookup`` use.
+    ``categorize=False``: the factorize shortcut treats ids that differ
+    only after a ``"\\x00"`` as one value, so an id would hash differently
+    depending on its batch-mates and miss its own row."""
+    return pd.util.hash_array(np.asarray(ids, dtype=object), categorize=False)
+
+
 def one_chunk(col: pa.ChunkedArray | pa.Array) -> pa.Array:
     """ChunkedArray → Array WITHOUT copying the single-chunk case: pyarrow's
     ``combine_chunks()`` concatenates (copies) even when there is exactly one
@@ -50,7 +59,7 @@ class ColumnLookup:
     into a pa.Array of the payload type.
 
     ``hash_col``: name of a precomputed uint64 id-hash column
-    (pd.util.hash_array of the string ids). When absent it is computed at
+    (``id_hash`` of the string ids). When absent it is computed at
     build time — fine for small sides, but large sides should precompute it
     in their materialize projection (see stages/dedup._verify_pairs).
     """
@@ -102,12 +111,7 @@ class ColumnLookup:
             )
         else:
             h = np.concatenate(
-                [
-                    pd.util.hash_array(
-                        np.asarray(c.to_pylist(), dtype=object)
-                    )
-                    for c in self.id_chunks
-                ]
+                [id_hash(c.to_pylist()) for c in self.id_chunks]
             )
         self.order = np.argsort(h, kind="stable")
         self.h = h[self.order]
@@ -144,7 +148,7 @@ class ColumnLookup:
         out = np.full(len(keys), None, dtype=object)
         if len(self.h) == 0 or len(keys) == 0:
             return out
-        kh = pd.util.hash_array(keys)
+        kh = id_hash(keys)
         pos = np.searchsorted(self.h, kh)
         pos = np.clip(pos, 0, len(self.h) - 1)
         found = self.h[pos] == kh
@@ -181,7 +185,7 @@ class ColumnLookup:
         n = len(keys_obj)
         if len(self.h) == 0 or n == 0:
             return pa.nulls(n, self.payload_type)
-        kh = pd.util.hash_array(keys_obj)
+        kh = id_hash(keys_obj)
         pos = np.searchsorted(self.h, kh)
         pos = np.clip(pos, 0, len(self.h) - 1)
         found = self.h[pos] == kh

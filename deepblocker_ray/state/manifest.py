@@ -62,8 +62,6 @@ class ManifestRun:
     ):
         """Run-or-resume one stage. ``fn`` returns a Dataset; the stage's
         output is its parquet directory, re-read on resume."""
-        import ray.data as rd
-
         dep_fps = [
             self.manifest["stages"][d]["fingerprint"] for d in (deps or [])
         ]
@@ -71,7 +69,7 @@ class ManifestRun:
         out_dir = os.path.join(self.run_dir, name, "data")
         rec = self.manifest["stages"].get(name)
         if rec and rec.get("fingerprint") == fp and rec.get("status") == "done":
-            return rd.read_parquet(out_dir)
+            return _read_checkpoint(out_dir)
 
         t0 = time.perf_counter()
         ds = fn()
@@ -107,12 +105,23 @@ class ManifestRun:
             "finished_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         }
         self._save()
-        return rd.read_parquet(out_dir)
+        return _read_checkpoint(out_dir)
 
     def completed(self) -> list[str]:
         return [
             k for k, v in self.manifest["stages"].items() if v.get("status") == "done"
         ]
+
+
+def _read_checkpoint(out_dir: str):
+    """A stage's Parquet output with its blocks in file order. Read tasks
+    finish in any order; a stage fed blocks in that order bundles them
+    differently run to run, and so writes different checkpoint bytes."""
+    import ray.data as rd
+
+    ds = rd.read_parquet(out_dir)
+    ds.context.execution_options.preserve_order = True
+    return rd.from_arrow_refs(ds.to_arrow_refs())
 
 
 def linkage_with_manifest(

@@ -135,6 +135,64 @@ class TestBucketOf:
         assert len(out) == 2 + 2 * 1100
 
 
+class TestExchange:
+    """``exchange`` hands every row of a key value to one call of ``fn``."""
+
+    @staticmethod
+    def per_call_sums():
+        """Per-key sums, tagged with an id unique to the call (a closure,
+        so Ray workers unpickle it without importing this module)."""
+
+        def fn(df: pd.DataFrame) -> pd.DataFrame:
+            import uuid
+
+            out = df.groupby("k", as_index=False)["v"].sum()
+            return out.assign(call=uuid.uuid4().hex)
+
+        return fn
+
+    def test_each_key_in_one_call(self, ray_session):
+        import ray.data as rd
+
+        from deepblocker_ray.stages.canonicalize import exchange
+
+        rng = np.random.default_rng(3)
+        blocks = [
+            pd.DataFrame(
+                {
+                    "k": [f"k{i:02d}" for i in rng.integers(0, 30, 60)],
+                    "v": rng.integers(0, 100, 60),
+                }
+            )
+            for _ in range(10)
+        ]
+        ds = rd.from_pandas(blocks)
+        assert ds.num_blocks() >= 8
+        blocks_per_key = pd.concat(
+            [b.drop_duplicates("k").assign(b=i) for i, b in enumerate(blocks)]
+        ).groupby("k").size()
+        assert (blocks_per_key > 1).all()
+
+        out = exchange(ds, "k", self.per_call_sums(), "pandas").to_pandas()
+        assert out.groupby("k")["call"].nunique().eq(1).all()
+        assert out["call"].nunique() > 1
+        got = out.groupby("k")["v"].sum().sort_index()
+        want = pd.concat(blocks).groupby("k")["v"].sum().sort_index()
+        pd.testing.assert_series_equal(got, want, check_dtype=False)
+        assert not out["k"].duplicated().any()
+
+    def test_empty_dataset(self, ray_session):
+        import ray.data as rd
+
+        from deepblocker_ray.stages.canonicalize import exchange
+
+        ds = rd.from_pandas(
+            pd.DataFrame({"k": pd.Series([], dtype=object),
+                          "v": pd.Series([], dtype=np.int64)})
+        )
+        assert exchange(ds, "k", self.per_call_sums(), "pandas").count() == 0
+
+
 class TestDocumentDerivedTranscripts:
     def test_pandas_matches_sql(self):
         """The python generator and its DuckDB twin must agree byte-exact —

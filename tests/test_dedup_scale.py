@@ -124,6 +124,29 @@ class TestPayloadLookup:
         assert list(lists[1]) == []
         assert list(lists[2]) == [1, 2]
 
+    def test_nul_ids_find_their_own_rows(self, ray_session):
+        """Ids that differ only after a NUL, hashed together on the build
+        side (the scorer's ``_turn_refs``), are each found when looked up
+        alone: build and lookup hash every id the same way."""
+        import pyarrow as pa
+
+        import ray.data as rd
+
+        from deepblocker_ray.stages.scoring import TurnLookup, _turn_refs
+
+        tuples = rd.from_arrow(
+            pa.table(
+                {
+                    "conv_id": ["a\x00x", "a\x00z", "b"],
+                    "turn_texts": [["x1"], ["z1", "z2"], ["b1"]],
+                }
+            )
+        )
+        lk = TurnLookup(_turn_refs(tuples, "conv_id"))
+        for key, want in [("a\x00z", ["z1", "z2"]), ("a\x00x", ["x1"])]:
+            assert lk.get_list_array([key]).to_pylist() == [want]
+        assert lk.get_lists(["a\x00z", "b"]) == [["z1", "z2"], ["b1"]]
+
     def test_join_path_matches_lookup_path(self, ray_session):
         """Force the join fallback (broadcast_rows_max=0) and check the
         verified pair set is identical to the broadcast-lookup path."""

@@ -63,8 +63,9 @@ class TestClusterStage:
         assert out["x1"] == out["x2"] == "x1"
 
     def test_pointer_jumping_long_chain(self, ray_session):
-        """Chain with diameter 600 ≫ max_iter=25 converges via pointer
-        jumping (label doubling: ~log2(d) rounds) on the distributed path,
+        """Id-ordered chain with diameter 600 ≫ max_iter=25 converges via
+        pointer jumping (label doubling: ~log2(d) rounds, a bound that
+        holds because the ids are in path order) on the distributed path,
         and reports convergence through stats_out."""
         import ray.data as rd
 
@@ -86,6 +87,22 @@ class TestClusterStage:
         assert stats["rounds"] <= 12, stats
         assert len(out) == n
         assert (out == "n0000").all()
+
+    def test_non_convergence_raises(self, ray_session):
+        """A 40-node path whose ids are in random order needs more rounds
+        than max_iter=3 (7–29 simulated): the call fills stats_out, then
+        raises instead of returning split clusters."""
+        import ray.data as rd
+
+        ids = [f"p{i:02d}" for i in np.random.default_rng(5).permutation(40)]
+        edges = pd.DataFrame({"left_id": ids[:-1], "right_id": ids[1:]})
+        stats: dict = {}
+        with pytest.raises(RuntimeError, match=r"after 3 rounds \(max_iter=3\)"):
+            connected_components(
+                rd.from_pandas(edges), CFG, driver_threshold=0, max_iter=3,
+                stats_out=stats,
+            )
+        assert stats == {"converged": False, "rounds": 3}
 
     def test_distributed_matches_union_find(self, ray_session):
         """Random graph: distributed propagate+shortcut path produces the
