@@ -1,9 +1,28 @@
-"""String-similarity scalar functions for the pairwise scorer.
+"""String-similarity functions for the pairwise scorer.
 
 The reference has no string similarity (its scalar surface is join/fill/cast/
 tokenize/cosine, SURVEY.md §2.8); Jaro-Winkler and Levenshtein on per-turn
 text are required by BASELINE.json's north_star for the candidate-pair scorer.
 Pure numpy/python, no external deps.
+
+The scalar functions (levenshtein, jaro, jaro_winkler, ...) take two
+strings. The batch kernels take one input format for n aligned pairs: per
+side ``(codes, lens)``, a zero-padded (n, w) codepoint matrix (uint8 when
+every code is Latin-1, uint32 otherwise) and int64 lengths. ``codepoints``
+builds it from Python strings in one numpy call; the scorer builds it
+straight from Arrow buffers (stages/scoring.py ``arrow_codepoints``).
+
+``similarity_batch`` computes Jaro-Winkler and the edit distance in one
+fused pass. Pairs are grouped by the pattern (B) side's width: at most 64
+chars take one 64-bit word per pair, at most 128 take two. Each group
+builds one pattern-bitmask table over B and walks A's columns once. At
+every column, one table lookup feeds both the greedy Jaro matcher and the
+Myers/Hyyrö edit-distance step, vectorized across the group's pairs.
+Non-Latin-1 pairs and patterns over 128 chars take the matrix Jaro matcher
+and the row DP instead. ``jaro_winkler_batch``, ``levenshtein_batch`` and
+``levenshtein_ratio_batch`` are thin wrappers that run only the kernel
+their caller asks for; the Levenshtein ones make each pair's shorter string
+the pattern.
 """
 
 from __future__ import annotations
@@ -92,328 +111,396 @@ def jaro_winkler(s1: str, s2: str, prefix_weight: float = 0.1) -> float:
     return j + prefix * prefix_weight * (1.0 - j)
 
 
+# ------------------------------------------------------------ batch kernels
+
+
+def codepoints(strs) -> tuple[np.ndarray, np.ndarray]:
+    """Strings → the batch kernels' input ``(codes, lens)``: a zero-padded
+    (n, w) codepoint matrix, w the longest length, and int64 lengths. One C
+    call builds the matrix (numpy's fixed-width UCS-4 dtype); the lengths
+    come from ``len``, so NULs inside or at the end of a string are kept.
+    uint8 when every code is Latin-1, uint32 otherwise."""
+    n = len(strs)
+    lens = np.fromiter(map(len, strs), np.int64, n)
+    w = max(int(lens.max(initial=0)), 1)
+    codes = np.array(strs, dtype=f"<U{w}").view(np.uint32).reshape(n, w)
+    if int(codes.max(initial=0)) < 256:
+        codes = codes.astype(np.uint8)
+    return codes, lens
+
+
+def similarity_batch(
+    codes_a: np.ndarray,
+    lens_a: np.ndarray,
+    codes_b: np.ndarray,
+    lens_b: np.ndarray,
+    jw: bool = True,
+    lev: bool = True,
+    prefix_weight: float = 0.1,
+) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Jaro-Winkler similarity and edit distance of n aligned pairs, both
+    from one pass over A's columns.
+
+    Inputs are two ``(codes, lens)`` matrices (see codepoints); returns
+    (Jaro-Winkler float64, distance int64), None for a kernel the caller
+    turned off. B is the pattern side of both kernels. Pairs whose codes are
+    all Latin-1 and whose B side has at most 128 chars take the bit-parallel
+    pass (one or two 64-bit words per pair); the rest take the matrix Jaro
+    matcher and the row DP. Equal pairs and pairs with an empty side are
+    settled without a kernel."""
+    la = np.asarray(lens_a, np.int64)
+    lb = np.asarray(lens_b, np.int64)
+    n = len(la)
+    sim = np.zeros(n, np.float64) if jw else None
+    dist = np.maximum(la, lb) if lev else None
+    if n == 0:
+        return sim, dist
+    equal = _equal_rows(codes_a, la, codes_b, lb)
+    if jw:
+        sim[equal] = 1.0
+    if lev:
+        dist[equal] = 0
+    todo = ~equal & (la > 0) & (lb > 0)
+    fast = todo & _latin1_rows(codes_a) & _latin1_rows(codes_b)
+    # partitioned per pair, not per batch: one long or non-Latin-1 outlier
+    # must not drag the others onto the slow path
+    for group, W in (
+        (fast & (lb <= 64), 1),
+        (fast & (lb > 64) & (lb <= 128), 2),
+        (todo & ~(fast & (lb <= 128)), 0),
+    ):
+        if not group.any():
+            continue
+        idx = np.nonzero(group)[0]
+        # descending A-length order: the rows still running at column i
+        # are a prefix that shrinks as the pass proceeds
+        idx = idx[np.argsort(-la[idx], kind="stable")]
+        ga, gb = la[idx], lb[idx]
+        A = codes_a[idx, : int(ga[0])]
+        B = codes_b[idx, : int(gb.max())]
+        active = np.searchsorted(
+            -ga, -np.arange(1, A.shape[1] + 1), side="right"
+        )
+        if W:
+            A = A.astype(np.uint8, copy=False)
+            B = B.astype(np.uint8, copy=False)
+            matches, d = _bitpar(A, ga, B, gb, active, W, jw, lev)
+        else:
+            matches = _jaro_match_matrix(A, ga, B, gb, active) if jw else None
+            d = _dp_batch(A, B, gb, active) if lev else None
+        if jw:
+            sim[idx] = _jaro_winkler_from_matches(
+                A, ga, B, gb, *matches, prefix_weight
+            )
+        if lev:
+            dist[idx] = d
+    return sim, dist
+
+
+def lev_ratio(dist: np.ndarray, max_len: np.ndarray) -> np.ndarray:
+    """Edit distances → 1 − dist/max_len, 1.0 where both strings are empty."""
+    ratio = np.ones(len(dist), np.float64)
+    nz = max_len > 0
+    ratio[nz] = 1.0 - dist[nz] / max_len[nz]
+    return ratio
+
+
 def jaro_winkler_batch(
     pairs_a: list[str], pairs_b: list[str], prefix_weight: float = 0.1
 ) -> np.ndarray:
-    """Vectorized Jaro-Winkler for many pairs: the greedy window matching
-    runs across all pairs simultaneously (numpy ops on (n, max_len)
-    matrices); only the O(m) transposition count stays per-pair."""
-    n = len(pairs_a)
-    if n == 0:
-        return np.zeros(0, np.float64)
-    len_a = np.asarray([len(s) for s in pairs_a], np.int64)
-    len_b = np.asarray([len(s) for s in pairs_b], np.int64)
-    out = np.zeros(n, np.float64)
-    equal = np.asarray([a == b for a, b in zip(pairs_a, pairs_b)], bool)
-    out[equal] = 1.0
-    todo = ~equal & (len_a > 0) & (len_b > 0)
-    # size-partition by the B side only (the A side never needs a bitmask —
-    # matched_a stays a boolean column write): ≤64 chars → one-word masks,
-    # ≤128 → two-word, longer → matrix fallback. Partitioned per pair so one
-    # long outlier can't drag the whole batch onto the slow path.
-    for group in (
-        todo & (len_b <= 64),
-        todo & (len_b > 64) & (len_b <= 128),
-        todo & (len_b > 128),
-    ):
-        if group.any():
-            _jw_group(pairs_a, pairs_b, group, len_a, len_b, out, prefix_weight)
-    return out
+    """Jaro-Winkler for many pairs: similarity_batch with the edit distance
+    turned off (pairs_b is the pattern side)."""
+    ca, la = codepoints(pairs_a)
+    cb, lb = codepoints(pairs_b)
+    return similarity_batch(
+        ca, la, cb, lb, lev=False, prefix_weight=prefix_weight
+    )[0]
 
 
-def _jw_group(pairs_a, pairs_b, group, len_a, len_b, out, prefix_weight):
-    tidx = np.nonzero(group)[0]
-    # descending iteration-length sort → the active row set is a shrinking
-    # prefix (same bandwidth trick as levenshtein_ratio_batch)
-    order = np.argsort(-len_a[tidx], kind="stable")
-    idx = tidx[order]
-    la = len_a[idx]
-    lb = len_b[idx]
-    max_a = int(la[0])
-    max_b = int(lb.max())
-    A = np.full((len(idx), max_a), np.uint32(0xFFFFFFFE))
-    B = np.full((len(idx), max_b), np.uint32(0xFFFFFFFF))
-    for r, p in enumerate(idx):
-        A[r, : la[r]] = np.frombuffer(pairs_a[p].encode("utf-32-le"), np.uint32)
-        B[r, : lb[r]] = np.frombuffer(pairs_b[p].encode("utf-32-le"), np.uint32)
-    # pure-Latin-1 batches run the match loop on uint8 (sentinels 254/255
-    # stay distinct from every real char and from each other)
-    if np.all((A < 254) | (A == 0xFFFFFFFE)) and np.all(
-        (B < 254) | (B == 0xFFFFFFFF)
-    ):
-        A = np.where(A == 0xFFFFFFFE, 254, A).astype(np.uint8)
-        B = np.where(B == 0xFFFFFFFF, 255, B).astype(np.uint8)
-    window = np.maximum(np.maximum(la, lb) // 2 - 1, 0)
-    active = np.searchsorted(-la, -np.arange(1, max_a + 1), side="right")
-    if A.dtype == np.uint8 and max_b <= 128:
-        # bit-parallel greedy matching: free set, search window and equal
-        # positions are uint64 masks per pair (1 or 2 words), so each step
-        # is O(n) vector ops instead of O(n × max_b) boolean matrices
-        W = 1 if max_b <= 64 else 2
-        matched_a, mb_words = _jaro_match_bits(A, B, la, lb, window, active, W)
-        shifts = np.arange(64, dtype=np.uint64)
-        bb = np.concatenate(
-            [
-                ((mb_words[w][:, None] >> shifts[None, :]) & np.uint64(1)).astype(
-                    bool
-                )
-                for w in range(W)
-            ],
-            axis=1,
-        )[:, :max_b]
-        matched_b = bb
-    else:
-        free = np.ones_like(B, bool)
-        matched_a = np.zeros((len(idx), max_a), bool)
-        matched_b = np.zeros_like(free)
-        cols = np.arange(max_b)
-        for i in range(max_a):
-            m = int(active[i])
-            if m == 0:
-                break
-            lo = np.maximum(i - window[:m], 0)
-            hi = np.minimum(i + window[:m] + 1, lb[:m])
-            win = (cols >= lo[:, None]) & (cols < hi[:, None])
-            eq = (B[:m] == A[:m, i : i + 1]) & free[:m] & win
-            has = eq.any(axis=1)
-            j = eq.argmax(axis=1)
-            rows = np.nonzero(has)[0]
-            free[rows, j[rows]] = False
-            matched_a[rows, i] = True
-            matched_b[rows, j[rows]] = True
-    m = matched_a.sum(axis=1)
-    jaro_v = np.zeros(len(idx))
-    nz = np.nonzero(m > 0)[0]
-    # transpositions, vectorized across rows: np.nonzero is row-major with
-    # ascending columns, so the t-th matched char per row lines up between
-    # the a-order and b-order flattenings; per-row mismatch count via bincount
-    rows_a, cols_a = np.nonzero(matched_a)
-    rows_b, cols_b = np.nonzero(matched_b)
-    mismatch = A[rows_a, cols_a] != B[rows_b, cols_b]
-    trans = np.bincount(rows_a, weights=mismatch, minlength=len(idx)).astype(
-        np.int64
-    ) // 2
-    jaro_v[nz] = (
-        m[nz] / la[nz] + m[nz] / lb[nz] + (m[nz] - trans[nz]) / m[nz]
-    ) / 3.0
-    # Winkler prefix boost (common prefix ≤ 4) where jaro > 0.7
-    pref_len = np.minimum(np.minimum(la, lb), 4)
-    maxp = min(4, max_a, max_b)
-    prefix = np.zeros(len(idx), np.int64)
-    if maxp > 0:
-        eqp = A[:, :maxp] == B[:, :maxp]
-        still = np.ones(len(idx), bool)
-        for i in range(maxp):
-            still &= eqp[:, i] & (i < pref_len)
-            prefix += still
-    boost = jaro_v > 0.7
-    jaro_v[boost] += prefix[boost] * prefix_weight * (1.0 - jaro_v[boost])
-    out[idx] = jaro_v
-
-
-_ONES64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-# _BELOW[k] = mask of bits [0, k); table gather beats per-row shift math in
-# the hot loops (no astype/where churn)
-_BELOW = np.zeros(65, np.uint64)
-_BELOW[1:] = _ONES64 >> (np.uint64(64) - np.arange(1, 65, dtype=np.uint64))
-
-
-def _below_mask(k: np.ndarray) -> np.ndarray:
-    """Per-row mask of bits [0, k) for k in 0..64 (uint64)."""
-    one = np.uint64(1)
-    return np.where(
-        k > 0, _ONES64 >> (np.uint64(64) - np.maximum(k, one)), np.uint64(0)
-    )
-
-
-def _build_peq(B, lens, W: int):
-    """Per-pair pattern-equality bitmask table over a COMPACT alphabet: one
-    (nt, k+1, W) uint64 table where k is the number of distinct byte codes
-    observed in B's valid positions (+1 all-zero sentinel column for absent
-    chars) and W is the number of 64-bit words per pattern. Returns
-    (Peq, lut) with lut mapping byte code → column (absent → k). Shared by
-    the Jaro matcher and both Myers variants — DRAM traffic, not FLOPs,
-    bounds these kernels, so the table must stay small."""
-    nt = B.shape[0]
-    one = np.uint64(1)
-    total = int(lens.sum())
-    if not total:
-        return np.zeros((nt, 1, W), np.uint64), np.full(256, 0, np.int64)
-    r_idx = np.repeat(np.arange(nt), lens)
-    c_pos = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(lens) - lens, lens
-    )
-    codes = B[r_idx, c_pos]
-    used = np.unique(codes)
-    k = len(used)
-    lut = np.full(256, k, np.int64)
-    lut[used] = np.arange(k)
-    Peq = np.zeros((nt, k + 1, W), np.uint64)
-    np.bitwise_or.at(
-        Peq,
-        (r_idx, lut[codes], c_pos >> 6),
-        one << (c_pos & 63).astype(np.uint64),
-    )
-    return Peq, lut
-
-
-def _jaro_match_bits(A, B, la, lb, window, active, W: int):
-    """Greedy Jaro matching with W uint64 mask words per pair (B side ≤ 64·W
-    chars; the A side only drives the loop length). Returns
-    (matched_a bool matrix, [matched_b word arrays]). Same greedy order as
-    the matrix fallback: a-positions ascending, first free in-window equal
-    b-position wins (lowest set bit, word 0 first)."""
-    nt, max_a = A.shape
-    one = np.uint64(1)
-    Peq, lut = _build_peq(B, lb, W)
-    free = [
-        _below_mask(np.clip(lb - 64 * w, 0, 64).astype(np.uint64))
-        for w in range(W)
-    ]
-    matched_a = np.zeros((nt, max_a), bool)
-    matched_b = [np.zeros(nt, np.uint64) for _ in range(W)]
-    rows_all = np.arange(nt)
-    with np.errstate(over="ignore"):
-        for i in range(max_a):
-            m = int(active[i])
-            if m == 0:
-                break
-            wn = window[:m]
-            lo = np.maximum(i - wn, 0)
-            hi = np.minimum(i + wn + 1, lb[:m])
-            taken = np.zeros(m, bool)
-            for w in range(W):
-                wlo = np.clip(lo - 64 * w, 0, 64)
-                whi = np.clip(hi - 64 * w, 0, 64)
-                win = _BELOW[whi] & ~_BELOW[wlo]
-                cand = Peq[rows_all[:m], lut[A[:m, i]], w] & free[w][:m] & win
-                cand = np.where(taken, np.uint64(0), cand)
-                v = cand & (~cand + one)  # lowest set bit (0 = no candidate)
-                free[w][:m] &= ~v
-                matched_b[w][:m] |= v
-                hit = cand != 0
-                taken |= hit
-            matched_a[:m, i] = taken
-    return matched_a, matched_b
+def _levenshtein(pairs_a, pairs_b, cap):
+    """(distances, longer lengths). Per pair the shorter string is the
+    pattern, so a pair runs bit-parallel whenever its shorter side holds at
+    most 128 Latin-1 chars; the distance is symmetric."""
+    if cap is not None:
+        pairs_a = [s[:cap] for s in pairs_a]
+        pairs_b = [s[:cap] for s in pairs_b]
+    longs, shorts = [], []
+    for a, b in zip(pairs_a, pairs_b):
+        if len(a) < len(b):
+            a, b = b, a
+        longs.append(a)
+        shorts.append(b)
+    ca, la = codepoints(longs)
+    cb, lb = codepoints(shorts)
+    return similarity_batch(ca, la, cb, lb, jw=False)[1], la
 
 
 def levenshtein_ratio_batch(
     pairs_a: list[str], pairs_b: list[str], cap: int | None = None
 ) -> np.ndarray:
-    """Vectorized edit-distance ratios for many string pairs at once: one DP
-    whose row updates run across ALL pairs simultaneously (numpy ops on
-    (n_pairs, max_len) matrices). This is what makes the pairwise scorer's
-    hot path batch-vectorized instead of a per-pair Python DP.
+    """Edit-distance ratios (1 − dist/max_len) for many pairs; ``cap``
+    truncates every string first."""
+    dist, max_len = _levenshtein(pairs_a, pairs_b, cap)
+    return lev_ratio(dist, max_len)
 
-    Bandwidth engineering (this kernel is memory-traffic-bound):
-      - per pair, the LONGER string is the iteration axis and the shorter is
-        the DP-row axis, so the row arrays are as narrow as possible;
-      - pairs are processed in descending iteration-length order, so the
-        active row set is a prefix that shrinks as the DP proceeds — total
-        work is Σ len_long·width, not max·n·width;
-      - int16 DP cells (distances ≤ cap ≪ 32767; the prefix-min scan needs a
-        signed type) and uint8 character codes when the batch is pure
-        Latin-1, uint32 otherwise.
-    """
-    n = len(pairs_a)
-    if n == 0:
-        return np.zeros(0, np.float64)
-    if cap is not None:
-        pairs_a = [s[:cap] for s in pairs_a]
-        pairs_b = [s[:cap] for s in pairs_b]
-    la0 = np.asarray([len(s) for s in pairs_a], np.int64)
-    lb0 = np.asarray([len(s) for s in pairs_b], np.int64)
-    max_len = np.maximum(la0, lb0)
-    out = np.zeros(n, np.int64)
-    # equal-string shortcut (C-speed memcmp): near-dup workloads share many
-    # turn texts verbatim — those pairs skip the kernels entirely
-    equal = np.fromiter(
-        (x == y for x, y in zip(pairs_a, pairs_b)), bool, n
+
+def levenshtein_batch(
+    pairs_a: list[str], pairs_b: list[str], cap: int | None = None
+) -> np.ndarray:
+    """Raw edit distances for many pairs; ``cap`` truncates every string
+    first."""
+    return _levenshtein(pairs_a, pairs_b, cap)[0]
+
+
+def _equal_rows(codes_a, la, codes_b, lb) -> np.ndarray:
+    """Rows whose two strings are equal (zero padding compares equal)."""
+    eq = la == lb
+    rows = np.nonzero(eq)[0]
+    w = min(codes_a.shape[1], codes_b.shape[1])
+    if rows.size:
+        eq[rows] = (codes_a[rows, :w] == codes_b[rows, :w]).all(axis=1)
+    return eq
+
+
+def _latin1_rows(codes) -> np.ndarray:
+    if codes.dtype == np.uint8:
+        return np.ones(len(codes), bool)
+    return codes.max(axis=1, initial=0) < 256
+
+
+_ONES64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+# _BELOW[k] = mask of bits [0, k); table gathers beat per-row shift math
+_BELOW = np.zeros(65, np.uint64)
+_BELOW[1:] = _ONES64 >> (np.uint64(64) - np.arange(1, 65, dtype=np.uint64))
+_POP8 = np.array([bin(i).count("1") for i in range(256)], np.uint8)
+
+
+def _word_masks(lens, W: int) -> list[np.ndarray]:
+    """Per row and word w < W, the mask of the row's bits [0, lens) that
+    fall in word w."""
+    return [_BELOW[np.clip(lens - 64 * w, 0, 64)] for w in range(W)]
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    return (
+        _POP8[np.ascontiguousarray(x, "<u8").view(np.uint8)]
+        .reshape(len(x), 8)
+        .sum(axis=1, dtype=np.int64)
     )
-    todo = ~equal & (la0 > 0) & (lb0 > 0)
-    out[~todo] = max_len[~todo] * ~equal[~todo]  # one side empty → |other|
-    # size-partition: pairs whose SHORT side fits one 64-bit word take the
-    # 1-word bit-parallel Myers path, ≤128 the 2-word variant, the rest the
-    # DP. Partitioned per pair, not per batch — one long outlier must not
-    # force the whole batch onto the slow path (turn texts are ~60 chars
-    # with a 128-char cap, so mixed batches are the norm).
-    min_len = np.minimum(la0, lb0)
-    for group in (
-        todo & (min_len <= 64),
-        todo & (min_len > 64) & (min_len <= 128),
-        todo & (min_len > 128),
-    ):
-        if not group.any():
-            continue
-        tidx = np.nonzero(group)[0]
-        # per-pair swap: long side → iteration axis (symmetric distance)
-        swap = lb0[tidx] > la0[tidx]
-        longs = [
-            pairs_b[i] if sw else pairs_a[i] for i, sw in zip(tidx, swap)
-        ]
-        shorts = [
-            pairs_a[i] if sw else pairs_b[i] for i, sw in zip(tidx, swap)
-        ]
-        len_l = np.where(swap, lb0[tidx], la0[tidx])
-        len_s = np.where(swap, la0[tidx], lb0[tidx])
-
-        order = np.argsort(-len_l, kind="stable")
-        longs = [longs[i] for i in order]
-        shorts = [shorts[i] for i in order]
-        len_l = len_l[order]
-        len_s = len_s[order]
-        nt = len(tidx)
-        max_l = int(len_l[0])
-        max_s = int(len_s.max())
-
-        # character matrices; padding needs no sentinel — cell (r, j ≤
-        # len_s[r]) never depends on columns right of j, and we only read
-        # cur[r, len_s[r]]
-        A = np.zeros((nt, max_l), np.uint32)
-        B = np.zeros((nt, max_s), np.uint32)
-        for i, s in enumerate(longs):
-            if s:
-                A[i, : len(s)] = np.frombuffer(
-                    s.encode("utf-32-le"), np.uint32
-                )
-        for i, s in enumerate(shorts):
-            if s:
-                B[i, : len(s)] = np.frombuffer(
-                    s.encode("utf-32-le"), np.uint32
-                )
-        if int(A.max(initial=0)) < 256 and int(B.max(initial=0)) < 256:
-            A = A.astype(np.uint8)
-            B = B.astype(np.uint8)
-
-        # active-prefix size per iteration i: #rows with len_l ≥ i+1
-        # (len_l sorted desc ⇒ -len_l asc; count via 'right')
-        active = np.searchsorted(-len_l, -np.arange(1, max_l + 1), side="right")
-        if A.dtype == np.uint8 and max_s <= 64:
-            # bit-parallel Myers (Hyyrö): the ≤64-char short side is the
-            # bit-vector pattern, one uint64 per pair, ~5× the DP's speed
-            out_sorted = _myers_batch_u8(A, B, len_l, len_s, active)
-        elif A.dtype == np.uint8 and max_s <= 128:
-            out_sorted = _myers_batch_u8_w2(A, B, len_l, len_s, active)
-        else:
-            out_sorted = _dp_batch(A, B, len_l, len_s, active, max_l, max_s)
-        out[tidx[order]] = out_sorted
-    ratio = np.ones(n, np.float64)
-    nz = max_len > 0
-    ratio[nz] = 1.0 - out[nz] / max_len[nz]
-    return ratio
 
 
-def _dp_batch(A, B, len_l, len_s, active, max_l, max_s) -> np.ndarray:
-    """Row-DP edit distance across pairs (general fallback: any alphabet,
-    any length). int16 cells, int32 beyond their range."""
-    nt = A.shape[0]
-    cell_dt = np.int16 if max_l < 32000 else np.int32
+def _build_peq(B, lens, W: int):
+    """Pattern-equality bitmasks of the uint8 pattern rows B: W flat
+    (nt·(k+1),) uint64 tables, one per 64-bit word, whose entry
+    base[r] + lut[c] holds the positions of code c in B[r, :lens[r]]. k
+    counts the distinct codes of the whole group (a 256-entry presence table
+    finds them); lut maps every other code to the all-zero entry k. Returns
+    (Peq, lut, base). Memory traffic, not arithmetic, bounds the pass, so
+    the table stays compact; it is filled one B column at a time over the
+    rows still that long (row blocks in descending pattern-length order),
+    with no per-char index arrays."""
+    nt, wb = B.shape
+    present = np.zeros(256, bool)
+    present[B[np.arange(wb) < lens[:, None]]] = True
+    k = int(np.count_nonzero(present))
+    lut = np.full(256, k, np.int64)
+    lut[present] = np.arange(k)
+    order = np.argsort(-lens, kind="stable")
+    base = np.empty(nt, np.int64)
+    base[order] = np.arange(nt, dtype=np.int64) * (k + 1)
+    sbase = base[order]
+    Bt = np.ascontiguousarray(B[order].T)
+    rows_left = np.searchsorted(-lens[order], -np.arange(1, wb + 1), "right")
+    Peq = [np.zeros(nt * (k + 1), np.uint64) for _ in range(W)]
+    for j in range(wb):
+        c = int(rows_left[j])
+        row = lut[Bt[j, :c]]
+        row += sbase[:c]
+        Peq[j >> 6][row] |= np.uint64(1) << np.uint64(j & 63)
+    return Peq, lut, base
+
+
+def _bitpar(A, la, B, lb, active, W: int, jw: bool, lev: bool):
+    """The fused bit-parallel pass over uint8 rows sorted by descending
+    A length, B ≤ 64·W chars per row (W ∈ {1, 2}). Each column i of A costs
+    one lookup of the pattern bits Eq = Peq[base[r] + lut[A[r, i]]], which
+    feeds both kernels:
+
+    - greedy Jaro matching: the first free B position equal to A[i] within
+      the match window, taken as the lowest set bit of Eq & free & window
+      (word 0 first), is marked used;
+    - Myers/Hyyrö edit distance: Pv/Mv hold the column's vertical +1/−1
+      deltas, updated with ~16 uint64 vector ops; W = 2 carries the add and
+      the shifts across the word boundary. Bits at or above lb[r] may hold
+      garbage but never reach lower bits (carries and shifts only move
+      upward), so no per-row masking is needed in the loop.
+
+    Returns ((matched_a, matched_b) bool matrices | None, distances | None).
+    The distance comes out of the final column: D[lb][la] = la + Σ Pv − Σ Mv
+    over bits [0, lb)."""
+    nt, max_a = A.shape
+    one = np.uint64(1)
+    s63 = np.uint64(63)
+    Peq, lut, base = _build_peq(B, lb, W)
+    At = np.ascontiguousarray(A.T)  # column i is contiguous
+    valid = _word_masks(lb, W)
+    if jw:
+        wn = np.maximum(np.maximum(la, lb) // 2 - 1, 0)
+        off = int(wn.max())
+        # T[w][x] = bits of word w below position x − off: the window
+        # [i − wn, i + wn] is T[hi] & NT[lo] (NT = ~T) with lo = off − wn + i
+        # and hi = off + wn + 1 + i, no clipping (bits ≥ lb are never free)
+        x = np.arange(max_a + 2 * off + 2) - off
+        T = [_BELOW[np.clip(x - 64 * w, 0, 64)] for w in range(W)]
+        NT = [~t for t in T]
+        lo0 = off - wn
+        hi0 = off + wn + 1
+        free = [v.copy() for v in valid]
+        matched_a = np.zeros((nt, max_a), bool)
+    if lev:
+        Pv = [v.copy() for v in valid]
+        Mv = [np.zeros(nt, np.uint64) for _ in range(W)]
+    with np.errstate(over="ignore"):
+        for i in range(max_a):
+            m = int(active[i])
+            if m == 0:
+                break
+            row = lut[At[i, :m]]
+            row += base[:m]
+            Eq = [P[row] for P in Peq]
+            if jw:
+                ilo = lo0[:m] + i
+                ihi = hi0[:m] + i
+                taken = None
+                for w in range(W):
+                    cand = Eq[w] & free[w][:m]
+                    cand &= T[w][ihi]
+                    cand &= NT[w][ilo]
+                    if taken is not None:
+                        cand[taken] = 0
+                    free[w][:m] ^= cand & (~cand + one)  # lowest set bit
+                    hit = cand != 0
+                    taken = hit if taken is None else taken | hit
+                matched_a[:m, i] = taken
+            if lev:
+                for w in range(W):
+                    e = Eq[w]
+                    pv, mv = Pv[w][:m], Mv[w][:m]
+                    xv = e | mv
+                    a = e & pv
+                    s = a + pv
+                    if w:
+                        s += carry
+                    elif W > 1:  # carry of word 0's add into word 1
+                        carry = (s < a).astype(np.uint64)
+                    xh = (s ^ pv) | e
+                    ph = mv | ~(xh | pv)
+                    mh = pv & xh
+                    ph_s = ph << one
+                    mh_s = mh << one
+                    if w:
+                        ph_s |= ph_top
+                        mh_s |= mh_top
+                    else:
+                        ph_s |= one
+                        ph_top = ph >> s63
+                        mh_top = mh >> s63
+                    Pv[w][:m] = mh_s | ~(xv | ph_s)
+                    Mv[w][:m] = ph_s & xv
+    matches = dist = None
+    if jw:
+        used = np.stack([v ^ f for v, f in zip(valid, free)], axis=1)
+        matched_b = np.unpackbits(
+            used.astype("<u8", copy=False).view(np.uint8).reshape(nt, 8 * W),
+            axis=1,
+            bitorder="little",
+        ).view(bool)
+        matches = (matched_a, matched_b)
+    if lev:
+        dist = la.copy()
+        for w in range(W):
+            dist += _popcount(Pv[w] & valid[w])
+            dist -= _popcount(Mv[w] & valid[w])
+    return matches, dist
+
+
+def _jaro_match_matrix(A, la, B, lb, active):
+    """Greedy Jaro matching on (nt, len) boolean matrices, the fallback for
+    any alphabet and length; same greedy order as the bit-parallel pass
+    (A positions ascending, first free in-window equal B position)."""
+    nt, max_a = A.shape
+    max_b = B.shape[1]
+    window = np.maximum(np.maximum(la, lb) // 2 - 1, 0)
+    free = np.ones((nt, max_b), bool)
+    matched_a = np.zeros((nt, max_a), bool)
+    matched_b = np.zeros((nt, max_b), bool)
+    cols = np.arange(max_b)
+    for i in range(max_a):
+        m = int(active[i])
+        if m == 0:
+            break
+        lo = np.maximum(i - window[:m], 0)
+        hi = np.minimum(i + window[:m] + 1, lb[:m])
+        win = (cols >= lo[:, None]) & (cols < hi[:, None])
+        eq = (B[:m] == A[:m, i : i + 1]) & free[:m] & win
+        has = eq.any(axis=1)
+        j = eq.argmax(axis=1)
+        rows = np.nonzero(has)[0]
+        free[rows, j[rows]] = False
+        matched_a[rows, i] = True
+        matched_b[rows, j[rows]] = True
+    return matched_a, matched_b
+
+
+def _jaro_winkler_from_matches(
+    A, la, B, lb, matched_a, matched_b, prefix_weight
+) -> np.ndarray:
+    """Jaro-Winkler from the match masks. Transpositions are counted across
+    rows at once: boolean-mask indexing is row-major with ascending columns,
+    so the t-th matched char of a row lines up between the A-order and
+    B-order flattenings, and each row's matches are one segment."""
+    nt = len(la)
+    m = matched_a.sum(axis=1)
+    nz = np.nonzero(m > 0)[0]
+    mismatch = A[matched_a] != B[matched_b[:, : B.shape[1]]]
+    trans = np.zeros(nt, np.int64)
+    if nz.size:
+        starts = (np.cumsum(m) - m)[nz]
+        trans[nz] = np.add.reduceat(mismatch, starts, dtype=np.int64) // 2
+    jaro_v = np.zeros(nt)
+    jaro_v[nz] = (
+        m[nz] / la[nz] + m[nz] / lb[nz] + (m[nz] - trans[nz]) / m[nz]
+    ) / 3.0
+    # Winkler prefix boost (common prefix ≤ 4) where jaro > 0.7
+    pref_len = np.minimum(np.minimum(la, lb), 4)
+    maxp = min(4, A.shape[1], B.shape[1])
+    prefix = np.zeros(nt, np.int64)
+    if maxp > 0:
+        eqp = A[:, :maxp] == B[:, :maxp]
+        still = np.ones(nt, bool)
+        for i in range(maxp):
+            still &= eqp[:, i] & (i < pref_len)
+            prefix += still
+    boost = jaro_v > 0.7
+    jaro_v[boost] += prefix[boost] * prefix_weight * (1.0 - jaro_v[boost])
+    return jaro_v
+
+
+def _dp_batch(A, B, len_b, active) -> np.ndarray:
+    """Row-DP edit distance across pairs, the fallback for any alphabet and
+    length: A's columns drive the loop, each row holds the DP row over B.
+    Padding needs no sentinel: cell (r, j ≤ len_b[r]) never depends on
+    columns right of j, and only cur[r, len_b[r]] is read. int16 cells,
+    int32 beyond their range."""
+    nt, max_a = A.shape
+    max_b = B.shape[1]
+    cell_dt = np.int16 if max(max_a, max_b) < 32000 else np.int32
     one = cell_dt(1)
-    rng = np.arange(max_s + 1, dtype=cell_dt)
-    prev = np.broadcast_to(rng, (nt, max_s + 1)).copy()
+    rng = np.arange(max_b + 1, dtype=cell_dt)
+    prev = np.broadcast_to(rng, (nt, max_b + 1)).copy()
     cur = np.empty_like(prev)
-    out_sorted = np.zeros(nt, np.int64)
-    for i in range(max_l):
+    out = np.zeros(nt, np.int64)
+    for i in range(max_a):
         m = int(active[i])
         if m == 0:
             break
@@ -429,133 +516,12 @@ def _dp_batch(A, B, len_l, len_s, active, max_l, max_s) -> np.ndarray:
         cur[:m] -= rng
         np.minimum.accumulate(cur[:m], axis=1, out=cur[:m])
         cur[:m] += rng
-        m_next = int(active[i + 1]) if i + 1 < max_l else 0
-        if m_next < m:  # rows [m_next, m) have len_l == i+1 → finished
+        m_next = int(active[i + 1]) if i + 1 < max_a else 0
+        if m_next < m:  # rows [m_next, m) have len_a == i+1 → finished
             rows = np.arange(m_next, m)
-            out_sorted[rows] = cur[rows, len_s[rows]]
+            out[rows] = cur[rows, len_b[rows]]
         prev, cur = cur, prev
-    return out_sorted
-
-
-def _myers_batch_u8(A, B, len_l, len_s, active) -> np.ndarray:
-    """Bit-parallel Myers/Hyyrö edit distance, vectorized ACROSS pairs: each
-    pair's ≤64-char short side becomes one uint64 pattern word; the long side
-    is consumed column-by-column with ~12 uint64 vector ops per step over the
-    shrinking active prefix. Carries in the add only propagate upward, so
-    bits above len_s[r]−1 never contaminate the score bit — no per-row
-    masking needed (standard unmasked formulation).
-
-    Rows with an empty short side come out correct automatically: Pv=0 makes
-    every step a +1 horizontal delta, accumulating len_l."""
-    nt, max_l = A.shape
-    ones64 = np.uint64(0xFFFFFFFFFFFFFFFF)
-    one = np.uint64(1)
-    ls = len_s.astype(np.uint64)
-    Peq3, lut = _build_peq(B, len_s, 1)
-    Peq = Peq3[:, :, 0]
-    nzs = ls > 0
-    Pv = np.zeros(nt, np.uint64)
-    Pv[nzs] = ones64 >> (np.uint64(64) - ls[nzs])
-    Mv = np.zeros(nt, np.uint64)
-    score = len_s.astype(np.int64).copy()
-    hb = np.maximum(ls.astype(np.int64) - 1, 0).astype(np.uint64)
-    rows_all = np.arange(nt)
-    with np.errstate(over="ignore"):
-        for i in range(max_l):
-            m = int(active[i])
-            if m == 0:
-                break
-            Eq = Peq[rows_all[:m], lut[A[:m, i]]]
-            Pv_ = Pv[:m]
-            Mv_ = Mv[:m]
-            Xv = Eq | Mv_
-            Xh = (((Eq & Pv_) + Pv_) ^ Pv_) | Eq
-            Ph = Mv_ | ~(Xh | Pv_)
-            Mh = Pv_ & Xh
-            score[:m] += ((Ph >> hb[:m]) & one).astype(np.int64)
-            score[:m] -= ((Mh >> hb[:m]) & one).astype(np.int64)
-            Ph = (Ph << one) | one
-            Mh = Mh << one
-            Pv[:m] = Mh | ~(Xv | Ph)
-            Mv[:m] = Ph & Xv
-    return score
-
-
-def _myers_batch_u8_w2(A, B, len_l, len_s, active) -> np.ndarray:
-    """Two-word (≤128-char short side) block Myers: same recurrence as
-    _myers_batch_u8 with a 128-bit virtual word — the add carries from word
-    0 to word 1 (unsigned-wrap detection) and the left shifts carry the MSB
-    across the word boundary. Covers the scorer's full score_text_cap=128
-    range, so capped turn texts never fall back to the O(len²) DP."""
-    nt, max_l = A.shape
-    one = np.uint64(1)
-    s63 = np.uint64(63)
-    Peq, lut = _build_peq(B, len_s, 2)
-    lo_bits = np.clip(len_s, 0, 64).astype(np.uint64)
-    hi_bits = np.clip(len_s - 64, 0, 64).astype(np.uint64)
-    Pv0 = _below_mask(lo_bits)
-    Pv1 = _below_mask(hi_bits)
-    Mv0 = np.zeros(nt, np.uint64)
-    Mv1 = np.zeros(nt, np.uint64)
-    score = len_s.astype(np.int64).copy()
-    top = np.maximum(len_s - 1, 0)
-    hw1 = top >= 64  # score bit lives in word 1
-    hb = (top % 64).astype(np.uint64)
-    rows_all = np.arange(nt)
-    with np.errstate(over="ignore"):
-        for i in range(max_l):
-            m = int(active[i])
-            if m == 0:
-                break
-            ch = A[:m, i]
-            cc = lut[ch]
-            Eq0 = Peq[rows_all[:m], cc, 0]
-            Eq1 = Peq[rows_all[:m], cc, 1]
-            Pv0_, Pv1_ = Pv0[:m], Pv1[:m]
-            Mv0_, Mv1_ = Mv0[:m], Mv1[:m]
-            Xv0 = Eq0 | Mv0_
-            Xv1 = Eq1 | Mv1_
-            a0 = Eq0 & Pv0_
-            s0 = a0 + Pv0_
-            carry = (s0 < a0).astype(np.uint64)
-            s1 = (Eq1 & Pv1_) + Pv1_ + carry
-            Xh0 = (s0 ^ Pv0_) | Eq0
-            Xh1 = (s1 ^ Pv1_) | Eq1
-            Ph0 = Mv0_ | ~(Xh0 | Pv0_)
-            Ph1 = Mv1_ | ~(Xh1 | Pv1_)
-            Mh0 = Pv0_ & Xh0
-            Mh1 = Pv1_ & Xh1
-            Ph_h = np.where(hw1[:m], Ph1, Ph0)
-            Mh_h = np.where(hw1[:m], Mh1, Mh0)
-            score[:m] += ((Ph_h >> hb[:m]) & one).astype(np.int64)
-            score[:m] -= ((Mh_h >> hb[:m]) & one).astype(np.int64)
-            Ph1 = (Ph1 << one) | (Ph0 >> s63)
-            Ph0 = (Ph0 << one) | one
-            Mh1 = (Mh1 << one) | (Mh0 >> s63)
-            Mh0 = Mh0 << one
-            Pv0[:m] = Mh0 | ~(Xv0 | Ph0)
-            Pv1[:m] = Mh1 | ~(Xv1 | Ph1)
-            Mv0[:m] = Ph0 & Xv0
-            Mv1[:m] = Ph1 & Xv1
-    return score
-
-
-def levenshtein_batch(
-    pairs_a: list[str], pairs_b: list[str], cap: int | None = None
-) -> np.ndarray:
-    """Raw edit distances for many pairs (same vectorized DP as
-    levenshtein_ratio_batch, inverted from the ratio exactly)."""
-    if len(pairs_a) == 0:
-        return np.zeros(0, np.int64)
-    if cap is not None:
-        pairs_a = [s[:cap] for s in pairs_a]
-        pairs_b = [s[:cap] for s in pairs_b]
-    max_len = np.maximum(
-        np.asarray([len(s) for s in pairs_a], np.int64),
-        np.asarray([len(s) for s in pairs_b], np.int64),
-    )
-    ratio = levenshtein_ratio_batch(pairs_a, pairs_b)
-    return np.rint((1.0 - ratio) * max_len).astype(np.int64)
+    return out
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

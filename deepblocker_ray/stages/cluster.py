@@ -27,6 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import EngineConfig, default_parallelism
+from ..state.lookup import id_hash
 
 
 def union_find_pandas(edges: pd.DataFrame, src: str, dst: str) -> pd.DataFrame:
@@ -57,15 +58,33 @@ def union_find_pandas(edges: pd.DataFrame, src: str, dst: str) -> pd.DataFrame:
     )
 
 
+def _sum_by_label(key: str, labels, **cols) -> pd.DataFrame:
+    """Per distinct non-null string label (column ``key``), the sums of
+    ``cols``. Arrow's group_by, because pandas groupby / nunique / factorize
+    treat labels that agree up to a ``"\x00"`` as one value."""
+    t = pa.table({key: pa.array(np.asarray(labels, object), pa.string())})
+    for c, v in cols.items():
+        t = t.append_column(c, pa.array(v))
+    t = t.filter(pc.is_valid(t.column(key)))
+    agg = t.group_by(key, use_threads=False).aggregate(
+        [(c, "sum") for c in cols]
+    )
+    return pd.DataFrame(
+        {
+            key: agg.column(key).to_numpy(zero_copy_only=False),
+            **{c: agg.column(c + "_sum").to_numpy() for c in cols},
+        }
+    )
+
+
 def _label_signature(labels_ds) -> int:
     """Order-insensitive signature of (node, label) assignments."""
     sig = np.uint64(0)
     for b in labels_ds.iter_batches(batch_format="pandas", batch_size=65536):
-        h = pd.util.hash_pandas_object(
-            b["conv_id"].astype(str) + "\x00" + b["cluster_id"].astype(str),
-            index=False,
+        h = id_hash(
+            b["conv_id"].astype(str) + "\x00" + b["cluster_id"].astype(str)
         )
-        sig = np.bitwise_xor(sig, np.bitwise_xor.reduce(h.to_numpy(np.uint64)))
+        sig = np.bitwise_xor(sig, np.bitwise_xor.reduce(h))
     return int(sig)
 
 
@@ -933,15 +952,13 @@ def graph_modularity(
         return pd.DataFrame(
             {
                 "_lab": u.values,
-                "_bucket": (
-                    pd.util.hash_array(np.asarray(u.values, dtype=object))
-                    % np.uint64(nb)
-                ).astype("int32"),
+                "_bucket": (id_hash(u.values) % np.uint64(nb)).astype("int32"),
             }
         )
 
     def lab_count(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"_n": [np.int64(g["_lab"].nunique())]})
+        n = pc.count_distinct(pa.array(g["_lab"].values, pa.string()))
+        return pd.DataFrame({"_n": [np.int64(n.as_py())]})
 
     ncl_df = (
         lab_skinny.map_batches(lab_partial, batch_format="pandas")
@@ -952,29 +969,17 @@ def graph_modularity(
     n_clusters = int(ncl_df["_n"].sum()) if len(ncl_df) else 0
 
     def partials_from(la: pd.Series, lb: pd.Series) -> pd.DataFrame:
-        both = pd.concat(
-            [
-                pd.DataFrame(
-                    {
-                        "_c": la.values,
-                        "_e": (la.values == lb.values).astype(np.int64),
-                        "_d": np.ones(len(la), np.int64),
-                    }
-                ),
-                pd.DataFrame(
-                    {
-                        "_c": lb.values,
-                        "_e": np.zeros(len(lb), np.int64),
-                        "_d": np.ones(len(lb), np.int64),
-                    }
-                ),
-            ],
-            ignore_index=True,
+        agg = _sum_by_label(
+            "_c",
+            np.concatenate([la.values, lb.values]),
+            _e=np.concatenate(
+                [(la.values == lb.values).astype(np.int64),
+                 np.zeros(len(lb), np.int64)]
+            ),
+            _d=np.ones(len(la) + len(lb), np.int64),
         )
-        agg = both.groupby("_c", sort=False).sum().reset_index()
         agg["_bucket"] = (
-            pd.util.hash_array(np.asarray(agg["_c"].values, dtype=object))
-            % np.uint64(nb)
+            id_hash(agg["_c"].values) % np.uint64(nb)
         ).astype("int32")
         return agg
 
@@ -1031,11 +1036,11 @@ def graph_modularity(
         cell_stream = j2.map_batches(joined_partial, batch_format="pandas")
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby("_c", sort=False).agg(
-            e=("_e", "sum"), d=("_d", "sum")
+        sum_e = int(g["_e"].sum())
+        d = _sum_by_label(
+            "_c", g["_c"].values, _d=g["_d"].to_numpy(np.int64)
         )
-        sum_e = int(agg["e"].sum())
-        sum_d2 = sum(int(x) * int(x) for x in agg["d"].values)
+        sum_d2 = sum(int(x) * int(x) for x in d["_d"].values)
         return pd.DataFrame(
             {"_sum_e": [str(sum_e)], "_sum_d2": [str(sum_d2)]}
         )
@@ -1084,10 +1089,7 @@ def _node_degrees(edges, cfg: EngineConfig, out_node="node", out_deg="degree"):
             {
                 "_n": uniq,
                 "_c": cnt,
-                "_bucket": (
-                    pd.util.hash_array(np.asarray(uniq, dtype=object))
-                    % np.uint64(nb)
-                ).astype("int32"),
+                "_bucket": (id_hash(uniq) % np.uint64(nb)).astype("int32"),
             }
         )
 
@@ -1205,15 +1207,16 @@ def cluster_size_histogram(labeled, cfg: EngineConfig | None = None,
                 "_l": g.index.values,
                 "_c": g.to_numpy(np.int64),
                 "_bucket": (
-                    pd.util.hash_array(np.asarray(g.index.values, object))
-                    % np.uint64(nb)
+                    id_hash(g.index.values) % np.uint64(nb)
                 ).astype("int32"),
             }
         )
 
     def sizes(g: pd.DataFrame) -> pd.DataFrame:
-        sz = g.groupby("_l", sort=False)["_c"].sum()
-        h = sz.value_counts()
+        sz = _sum_by_label(
+            "_l", g["_l"].values, _c=g["_c"].to_numpy(np.int64)
+        )
+        h = sz["_c"].value_counts()
         return pd.DataFrame(
             {
                 "_s": h.index.to_numpy(np.int64),

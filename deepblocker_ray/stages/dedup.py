@@ -481,7 +481,7 @@ def _pairs_from_keys(
                 mod = np.fromiter(
                     (mod_map_[int(k)] for k in keys), np.int64, len(keys)
                 )
-                h = pd.util.hash_array(ids)
+                h = id_hash(ids)
                 keep = (h % mod.astype(np.uint64)) == 0
                 ids, keys, ns, h = ids[keep], keys[keep], ns[keep], h[keep]
                 if szs is not None:
@@ -2231,8 +2231,7 @@ def segment_dedup(
 
     def add_doc_bucket(df: pd.DataFrame) -> pd.DataFrame:
         df["_b2"] = (
-            pd.util.hash_array(np.asarray(df["_doc"].values, dtype=object))
-            % np.uint64(nb)
+            id_hash(df["_doc"].values) % np.uint64(nb)
         ).astype("int32")
         return df
 
@@ -2383,8 +2382,7 @@ def shared_prefixes(
                 "_p": g.index.values,
                 "_c": g.to_numpy(np.int64),
                 "_bucket": (
-                    pd.util.hash_array(np.asarray(g.index.values, object))
-                    % np.uint64(nb)
+                    id_hash(g.index.values) % np.uint64(nb)
                 ).astype("int32"),
             }
         )

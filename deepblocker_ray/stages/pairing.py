@@ -33,6 +33,7 @@ import pyarrow as pa
 import ray
 
 from ..config import DEFAULT_TOP_K, EngineConfig, actor_pool_size
+from ..state.lookup import id_hash
 from .embed import emb_to_numpy, numpy_to_emb
 
 CANDIDATE_SCHEMA = pa.schema(
@@ -668,8 +669,20 @@ class IVFTopKPairer:
         # data-sized shard count (see ExactTopKPairer.index): identical
         # index layout at every parallelism level, no CPU-scaled fan-out
         target = max(1, -(-n // cfg.index_shard_rows))
-        frac = min(1.0, self.sample_rows / max(n, 1))
-        sample = right_ds.random_sample(frac, seed=cfg.seed).to_pandas()
+        # the k-means sample is a function of the embeddings alone, not of
+        # the block layout or row order: above sample_rows the rows whose
+        # id hash falls below frac·2⁶⁴, and id order for kmeans_lite's
+        # positional seeding
+        sample = right_ds.select_columns([id_col, "emb"])
+        if n > self.sample_rows:
+            cut = np.uint64(self.sample_rows / n * 2.0**64)
+
+            def by_id_hash(t: pa.Table) -> pa.Table:
+                h = id_hash(t.column(id_col).cast(pa.string()).to_pylist())
+                return t.filter(pa.array(h < cut))
+
+            sample = sample.map_batches(by_id_hash, batch_format="pyarrow")
+        sample = sample.to_pandas().sort_values(id_col, kind="stable")
         x = np.stack([np.asarray(e, np.float32) for e in sample["emb"]])
         centroids = kmeans_lite(x, cfg.ivf_cells, cfg.seed)
         self.centroids_ref = ray.put(centroids)

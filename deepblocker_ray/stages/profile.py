@@ -35,6 +35,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import EngineConfig
+from ..state.lookup import id_hash
 
 
 def column_profile(ds, cfg: EngineConfig | None = None, *, columns: list[str]):
@@ -319,8 +320,7 @@ def count_encode(
                 "_v": g.index.values,
                 "_c": g.to_numpy(np.int64),
                 "_bucket": (
-                    pd.util.hash_array(np.asarray(g.index.values, object))
-                    % np.uint64(nb)
+                    id_hash(g.index.values) % np.uint64(nb)
                 ).astype("int32"),
             }
         )

@@ -12,14 +12,16 @@ aligned turn indices (up to the shorter side), strings capped at
 
 Heap discipline (round-4 40M-run finding: score workers hit ~3.6 GB anon
 high-water and were OOM-killed, surviving only via task retry): turn texts
-now stay in Arrow buffers end-to-end — lookup gathers via ``take_arrow``
-(zero Python payload objects), packed columns unpack with one numpy byte
-gather, aligned turn pairs are selected and CAPPED with Arrow kernels, and
-only the capped flat strings (the similarity kernels' input format)
-materialize as Python objects, in slices of ≤``FLAT_TURNS_PER_SLICE`` turn
-pairs so the kernels' (n, max_len) DP matrices are bounded no matter what
-batch size Ray delivers. ``malloc_trim`` runs after every scored batch to
-return glibc arena pages the flat strings leave behind.
+stay in Arrow buffers end-to-end — lookup gathers via ``take_arrow`` (zero
+Python payload objects), packed columns unpack with one numpy byte gather,
+and aligned turn pairs are selected and CAPPED with Arrow kernels. Each row
+slice of ≤``FLAT_TURNS_PER_SLICE`` turn pairs then becomes one zero-padded
+codepoint matrix per side (``arrow_codepoints``: n_flat × ≤cap uint8 cells,
+copied straight from the Arrow buffers when the slice is ASCII, so no Python
+string is made; other slices go through ``to_pylist``) and one fused
+Jaro-Winkler + Levenshtein call (``textsim.similarity_batch``).
+``malloc_trim`` runs after every scored batch to return glibc arena pages
+to the OS.
 """
 
 from __future__ import annotations
@@ -35,26 +37,28 @@ from ..config import (
     actor_pool_size,
     parallel_blocks,
 )
-from ..functions.textsim import jaro_winkler_batch, levenshtein_ratio_batch
+from ..functions.textsim import codepoints, lev_ratio, similarity_batch
 from ..state.lookup import id_hash, one_chunk
 
 SCORE_WEIGHTS = {"cosine": 0.4, "jw": 0.3, "lev": 0.3}
 
-# max aligned turn pairs per similarity-kernel call: bounds the kernels'
-# (n_flat, max_len) DP matrices (~2×34 MB at 65536×128×int16) and the
-# transient capped Python strings, independent of Ray's batch size
+# max aligned turn pairs per similarity-kernel call, independent of Ray's
+# batch size: bounds the two (n_flat, ≤cap) codepoint matrices (8 MB each
+# at 65536×128 uint8; uint32 for non-Latin-1 slices) and the kernels'
+# per-row state (a few uint64 words and an n_flat × cap match mask per
+# group; the row-DP fallback's int16 rows are ~17 MB at 65536×128)
 FLAT_TURNS_PER_SLICE = 65536
 
 _LIBC = None
 
 
 def _malloc_trim() -> None:
-    """Return freed glibc arena pages to the OS after a scored batch: the
-    flat capped strings free cleanly but leave arena retention behind —
-    the round-4 40M run measured score workers at ~3.6 GB anon high-water
-    (OOM-killed; stage completed only through Ray's task retry). A trim
-    per batch keeps worker RSS at the true working set for microseconds
-    of cost."""
+    """Return freed glibc arena pages to the OS after a scored batch: a
+    batch's transient buffers free cleanly but leave arena retention
+    behind — the round-4 40M run measured score workers at ~3.6 GB anon
+    high-water (OOM-killed; stage completed only through Ray's task retry).
+    A trim per batch keeps worker RSS at the true working set for
+    microseconds of cost."""
     global _LIBC
     try:
         if _LIBC is None:
@@ -64,44 +68,6 @@ def _malloc_trim() -> None:
         _LIBC.malloc_trim(0)
     except Exception:  # non-glibc platform: nothing to trim
         pass
-
-
-def score_pairs_batch(
-    turns_a_list: list[list[str]],
-    turns_b_list: list[list[str]],
-    cosines,
-    cap: int,
-    weights: dict[str, float] = SCORE_WEIGHTS,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batch scorer over Python turn lists (conformance oracle for
-    score_lists_arrow; the pipeline hot path keeps turns in Arrow)."""
-    n = len(turns_a_list)
-    counts = np.empty(n, np.int64)
-    flat_a: list[str] = []
-    flat_b: list[str] = []
-    for i, (ta, tb) in enumerate(zip(turns_a_list, turns_b_list)):
-        m = min(len(ta), len(tb))
-        counts[i] = m
-        for j in range(m):
-            flat_a.append(ta[j][:cap])
-            flat_b.append(tb[j][:cap])
-    lev_flat = levenshtein_ratio_batch(flat_a, flat_b)
-    jw_flat = jaro_winkler_batch(flat_a, flat_b)
-    jw = np.zeros(n)
-    lev = np.zeros(n)
-    nonempty = counts > 0
-    if nonempty.any():
-        offsets = np.zeros(n, np.int64)
-        np.cumsum(counts[:-1], out=offsets[1:])
-        starts = offsets[nonempty]
-        jw[nonempty] = np.add.reduceat(jw_flat, starts) / counts[nonempty]
-        lev[nonempty] = np.add.reduceat(lev_flat, starts) / counts[nonempty]
-    cos = np.clip(np.asarray(cosines, np.float64), 0.0, 1.0)
-    total_w = sum(weights.values())
-    combined = (
-        weights["cosine"] * cos + weights["jw"] * jw + weights["lev"] * lev
-    ) / total_w
-    return jw, lev, combined
 
 
 def _list_view(arr) -> tuple[pa.Array, np.ndarray, np.ndarray]:
@@ -119,15 +85,12 @@ def _list_view(arr) -> tuple[pa.Array, np.ndarray, np.ndarray]:
 
 def _flat_range(va, oa, vb, ob, m, lo, hi, cap):
     """Rows [lo, hi): aligned turn pairs (first min(n_a, n_b) turns) as two
-    capped flat Python string lists. Selection + capping are Arrow kernels
-    (``utf8_slice_codeunits`` == Python ``s[:cap]`` codepoint semantics);
-    only the capped strings materialize."""
+    capped flat Arrow string arrays. Selection + capping are Arrow kernels
+    (``utf8_slice_codeunits`` == Python ``s[:cap]`` codepoint semantics)."""
     import pyarrow.compute as pc
 
     mm = m[lo:hi]
     total = int(mm.sum())
-    if total == 0:
-        return [], []
     loc = np.arange(total, dtype=np.int64) - np.repeat(
         np.cumsum(mm) - mm, mm
     )
@@ -139,7 +102,49 @@ def _flat_range(va, oa, vb, ob, m, lo, hi, cap):
     fb = pc.fill_null(
         pc.utf8_slice_codeunits(vb.take(pa.array(ib)), 0, cap), ""
     )
-    return fa.to_pylist(), fb.to_pylist()
+    return fa, fb
+
+
+def arrow_codepoints(arr) -> tuple[np.ndarray, np.ndarray]:
+    """(Large)string Arrow array → the kernels' ``(codes, lens)`` input
+    (textsim.codepoints), null rows as empty strings. When the array's bytes
+    are ASCII (one vectorized check over its data buffer) they are copied
+    straight from the offsets and data buffers into a zero-padded uint8
+    matrix, with no Python strings; any other array goes through
+    ``codepoints(to_pylist())``."""
+    arr = one_chunk(arr)
+    n = len(arr)
+    large = pa.types.is_large_string(arr.type)
+    if not (large or pa.types.is_string(arr.type)):
+        raise TypeError(f"expected a string array, got {arr.type}")
+    dt = np.dtype(np.int64 if large else np.int32)
+    _, off_buf, data_buf = arr.buffers()
+    offs = (
+        np.frombuffer(off_buf, dt, n + 1, arr.offset * dt.itemsize)
+        if n
+        else np.zeros(1, dt)
+    )
+    start, stop = int(offs[0]), int(offs[-1])
+    data = (
+        np.frombuffer(data_buf, np.uint8, count=stop - start, offset=start)
+        if stop > start
+        else np.empty(0, np.uint8)
+    )
+    if data.size and int(data.max()) >= 128:
+        return codepoints(
+            [s if s is not None else "" for s in arr.to_pylist()]
+        )
+    lens = np.diff(offs).astype(np.int64)
+    w = max(int(lens.max(initial=0)), 1)
+    codes = np.zeros((n, w), np.uint8)
+    # row-major order of the valid cells is the order of the data buffer
+    codes[np.arange(w) < lens[:, None]] = data
+    if arr.null_count:
+        null = arr.is_null().to_numpy(zero_copy_only=False)
+        codes[null] = 0
+        lens[null] = 0
+        codes = codes[:, : max(int(lens.max(initial=0)), 1)]
+    return codes, lens
 
 
 def score_lists_arrow(
@@ -150,10 +155,12 @@ def score_lists_arrow(
     weights: dict[str, float] = SCORE_WEIGHTS,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Arrow-native batch scorer: per-pair aligned turns are selected,
-    capped and flattened in Arrow/numpy; the similarity kernels run over
-    row slices of ≤FLAT_TURNS_PER_SLICE turn pairs. Bit-identical to
-    score_pairs_batch on the same logical inputs (pinned by
-    tests/test_matching)."""
+    capped and flattened in Arrow/numpy, and each row slice of
+    ≤FLAT_TURNS_PER_SLICE turn pairs becomes two codepoint matrices and one
+    fused similarity_batch call. Per pair, jw and lev are the means of the
+    turn-level Jaro-Winkler and edit-distance ratio over the aligned turns
+    (0 with no aligned turn); tests/test_linkage_e2e pins them to a
+    Python-list oracle."""
     va, oa, na = _list_view(arr_a)
     vb, ob, nb = _list_view(arr_b)
     m = np.minimum(na, nb)
@@ -169,8 +176,10 @@ def score_lists_arrow(
         )
         hi = max(lo + 1, min(hi, n))
         flat_a, flat_b = _flat_range(va, oa, vb, ob, m, lo, hi, cap)
-        lev_flat = levenshtein_ratio_batch(flat_a, flat_b)
-        jw_flat = jaro_winkler_batch(flat_a, flat_b)
+        ca, la = arrow_codepoints(flat_a)
+        cb, lb = arrow_codepoints(flat_b)
+        jw_flat, dist = similarity_batch(ca, la, cb, lb)
+        lev_flat = lev_ratio(dist, np.maximum(la, lb))
         mm = m[lo:hi]
         ne = mm > 0
         if ne.any():
@@ -212,12 +221,6 @@ class TurnLookup:
         # keyed on "_id" by construction: _turn_refs renames id_col to _id
         # and ships the matching precomputed _h hash column
         self._lk = ColumnLookup(refs, "_id", "turn_texts", hash_col="_h")
-
-    def get_lists(self, keys) -> list[list[str]]:
-        """Python-object gather (tests/small callers); the score hot path
-        uses get_list_array."""
-        vals = self._lk.take_pylist(keys)
-        return [v if v is not None else [] for v in vals]
 
     def get_list_array(self, keys) -> pa.Array:
         """Arrow-native gather: list<string> payload array aligned with
@@ -343,24 +346,6 @@ def _pack_turns_fn(id_col: str, out_id: str, prefix: str):
         )
 
     return fn
-
-
-def _unpack_turns(txs: list, tls: list) -> list[list[str]]:
-    """Python-object unpack (round-trip conformance oracle for
-    unpack_turns_arrow; the score hot path never calls this)."""
-    out = []
-    for tx, tl in zip(txs, tls):
-        if tx is None or tl is None or tl == "":
-            out.append([])
-            continue
-        b = tx.encode("utf-8")
-        row, pos = [], 0
-        for ls in tl.split(","):
-            n = int(ls)
-            row.append(b[pos : pos + n].decode("utf-8"))
-            pos += n + 1  # skip the 1-byte filler
-        out.append(row)
-    return out
 
 
 def unpack_turns_arrow(tx_col, tl_col) -> pa.Array:

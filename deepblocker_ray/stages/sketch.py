@@ -48,6 +48,7 @@ import pyarrow as pa
 import ray
 
 from ..config import EngineConfig
+from ..state.lookup import id_hash
 from .dedup import hash64_strs
 
 # bit_length of a byte value (0..255); BITLEN8[0] = 0
@@ -361,8 +362,7 @@ def kmv_source_similarity(
         keep = g.groupby("_g", sort=False).cumcount() < k
         out = g[keep].copy()
         out["_bucket"] = (
-            pd.util.hash_array(np.asarray(out["_g"].values, object))
-            % np.uint64(nb)
+            id_hash(out["_g"].values) % np.uint64(nb)
         ).astype("int32")
         return out
 

@@ -15,6 +15,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..functions.tokenizer import tokenize
+from ..state.lookup import id_hash
 
 _PUNCT_RE = re.compile(r"[.,!?;:]")
 _WS_RE = re.compile(r"\s+")
@@ -1047,8 +1048,7 @@ def template_shapes(
                 "_s": g.index.values,
                 "_c": g.to_numpy(np.int64),
                 "_bucket": (
-                    pd.util.hash_array(np.asarray(g.index.values, object))
-                    % np.uint64(nb)
+                    id_hash(g.index.values) % np.uint64(nb)
                 ).astype("int32"),
             }
         )

@@ -401,6 +401,40 @@ class TestGraphModularity:
         # m=1, Σe=0, d_x=d_y=1 → Q = (0 − 2)/4 = −0.5
         assert out.loc[0, "q"] == -0.5
 
+    def test_nul_labels_counted_once(self, ray_session):
+        """Label 'a\\x00z' in two label blocks, one of which also holds
+        'a\\x00x' (the two agree up to the NUL): one cluster each, hashed
+        to one bucket each and summed apart."""
+        import pandas as pd
+        import ray.data as rd
+
+        from deepblocker_ray.config import EngineConfig
+        from deepblocker_ray.stages.cluster import graph_modularity
+
+        edges = rd.from_pandas(
+            pd.DataFrame(
+                {"left_id": ["p1", "p2", "p3"], "right_id": ["p2", "p3", "q1"]}
+            )
+        )
+        labels = rd.from_pandas(
+            [
+                pd.DataFrame(
+                    {"doc_id": ["p1", "p2"], "cluster_id": ["a\x00z"] * 2}
+                ),
+                pd.DataFrame(
+                    {"doc_id": ["q1", "p3"],
+                     "cluster_id": ["a\x00x", "a\x00z"]}
+                ),
+            ]
+        )
+        for nb in (1, 4, 8):
+            out = graph_modularity(
+                edges, labels, EngineConfig(num_buckets=nb)
+            ).to_pandas()
+            assert out.loc[0, "n_clusters"] == 2
+            # m=3, Σe=2 (p1-p2, p2-p3), d = 5 and 1 → (24 − 26)/36
+            assert out.loc[0, "q"] == -2.0 / 36.0
+
 
 class TestKCorePeel:
     def _edges(self, rd, pairs):
@@ -628,6 +662,33 @@ class TestClusterSizeHistogram:
             .to_pandas().set_index("cluster_size")["n_clusters"].to_dict()
         )
         assert out == {3: 1, 2: 1, 1: 2}
+
+    def test_nul_labels_counted_once(self, ray_session):
+        """Label 'a\\x00z' in two blocks, one of which also holds 'a\\x00x'
+        (the two agree up to the NUL): one cluster of 3 and one of 1."""
+        import pandas as pd
+        import ray.data as rd
+
+        from deepblocker_ray.config import EngineConfig
+        from deepblocker_ray.stages.cluster import cluster_size_histogram
+
+        labeled = rd.from_pandas(
+            [
+                pd.DataFrame(
+                    {"doc_id": ["p1", "p2"], "cluster_id": ["a\x00z"] * 2}
+                ),
+                pd.DataFrame(
+                    {"doc_id": ["q1", "p3"],
+                     "cluster_id": ["a\x00x", "a\x00z"]}
+                ),
+            ]
+        )
+        for nb in (1, 4, 8):
+            out = (
+                cluster_size_histogram(labeled, EngineConfig(num_buckets=nb))
+                .to_pandas().set_index("cluster_size")["n_clusters"].to_dict()
+            )
+            assert out == {3: 1, 1: 1}, nb
 
 
 class TestForecastRevenue:

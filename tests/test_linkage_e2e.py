@@ -24,6 +24,63 @@ CFG = EngineConfig(
 )
 
 
+def score_pairs_batch(turns_a_list, turns_b_list, cosines, cap):
+    """Batch scorer over Python turn lists, the oracle for the Arrow-native
+    scoring.score_lists_arrow: aligned turns capped in Python, scored by the
+    list-input wrappers, averaged per pair."""
+    from deepblocker_ray.functions.textsim import (
+        jaro_winkler_batch,
+        levenshtein_ratio_batch,
+    )
+    from deepblocker_ray.stages.scoring import SCORE_WEIGHTS as weights
+
+    n = len(turns_a_list)
+    counts = np.empty(n, np.int64)
+    flat_a: list[str] = []
+    flat_b: list[str] = []
+    for i, (ta, tb) in enumerate(zip(turns_a_list, turns_b_list)):
+        m = min(len(ta), len(tb))
+        counts[i] = m
+        for j in range(m):
+            flat_a.append(ta[j][:cap])
+            flat_b.append(tb[j][:cap])
+    lev_flat = levenshtein_ratio_batch(flat_a, flat_b)
+    jw_flat = jaro_winkler_batch(flat_a, flat_b)
+    jw = np.zeros(n)
+    lev = np.zeros(n)
+    nonempty = counts > 0
+    if nonempty.any():
+        offsets = np.zeros(n, np.int64)
+        np.cumsum(counts[:-1], out=offsets[1:])
+        starts = offsets[nonempty]
+        jw[nonempty] = np.add.reduceat(jw_flat, starts) / counts[nonempty]
+        lev[nonempty] = np.add.reduceat(lev_flat, starts) / counts[nonempty]
+    cos = np.clip(np.asarray(cosines, np.float64), 0.0, 1.0)
+    total_w = sum(weights.values())
+    combined = (
+        weights["cosine"] * cos + weights["jw"] * jw + weights["lev"] * lev
+    ) / total_w
+    return jw, lev, combined
+
+
+def unpack_turns_python(txs: list, tls: list) -> list[list[str]]:
+    """Python-object unpack of the packed (tx, tl) turn columns, the
+    round-trip oracle for scoring.unpack_turns_arrow."""
+    out = []
+    for tx, tl in zip(txs, tls):
+        if tx is None or tl is None or tl == "":
+            out.append([])
+            continue
+        b = tx.encode("utf-8")
+        row, pos = [], 0
+        for ls in tl.split(","):
+            n = int(ls)
+            row.append(b[pos : pos + n].decode("utf-8"))
+            pos += n + 1  # skip the 1-byte filler
+        out.append(row)
+    return out
+
+
 class TestClusterStage:
     def test_union_find_shapes(self):
         edges = pd.DataFrame(
@@ -371,7 +428,6 @@ class TestScoreViaJoin:
 
         from deepblocker_ray.stages.scoring import (
             _pack_turns_fn,
-            _unpack_turns,
             unpack_turns_arrow,
         )
 
@@ -390,7 +446,7 @@ class TestScoreViaJoin:
             }
         )
         packed = _pack_turns_fn("conv_id", "left_id", "_l")(batch)
-        got = _unpack_turns(
+        got = unpack_turns_python(
             packed.column("_ltx").to_pylist(), packed.column("_ltl").to_pylist()
         )
         assert got == rows
@@ -456,10 +512,7 @@ class TestScoreViaJoin:
     def test_score_lists_arrow_matches_python_batch(self):
         import pyarrow as pa
 
-        from deepblocker_ray.stages.scoring import (
-            score_lists_arrow,
-            score_pairs_batch,
-        )
+        from deepblocker_ray.stages.scoring import score_lists_arrow
 
         ta = [
             ["hello world", "second turn here"],

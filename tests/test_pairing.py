@@ -142,6 +142,29 @@ class TestIVF:
             rows = got[got["left_id"] == f"L{i:04d}"]
             assert list(rows["right_id"]) == [f"R{j:04d}" for j in idx[i]]
 
+    def test_index_is_a_function_of_the_embeddings(self, ray_session):
+        """The same rows in 1 block, in 7 blocks and in reversed row order
+        give identical centroids, also when only a sample of them
+        (sample_rows < n) seeds k-means."""
+        import ray
+
+        import ray.data as rd
+
+        right_t, _ = make_emb_df(300, 8, "R")
+        c = cfg(shard_rows=64)
+        c.ivf_cells = 8
+
+        def centroids(ds, sample_rows):
+            p = IVFTopKPairer(k=5, cfg=c, sample_rows=sample_rows).index(ds)
+            return ray.get(p.centroids_ref)
+
+        for sample_rows in (120, 300):
+            want = centroids(rd.from_arrow(right_t), sample_rows)
+            seven = rd.from_arrow(right_t).repartition(7)
+            reversed_rows = rd.from_arrow(right_t.take(np.arange(299, -1, -1)))
+            for ds in (seven, reversed_rows):
+                np.testing.assert_array_equal(centroids(ds, sample_rows), want)
+
     def test_partial_probe_recall(self, ray_session):
         import ray.data as rd
 
