@@ -19,10 +19,10 @@ builds one pattern-bitmask table over B and walks A's columns once. At
 every column, one table lookup feeds both the greedy Jaro matcher and the
 Myers/Hyyrö edit-distance step, vectorized across the group's pairs.
 Non-Latin-1 pairs and patterns over 128 chars take the matrix Jaro matcher
-and the row DP instead. ``jaro_winkler_batch``, ``levenshtein_batch`` and
-``levenshtein_ratio_batch`` are thin wrappers that run only the kernel
-their caller asks for; the Levenshtein ones make each pair's shorter string
-the pattern.
+and the row DP instead. ``jaro_winkler_batch`` and ``levenshtein_batch``
+take two lists of strings and run only the kernel their caller asks for;
+``levenshtein_batch`` makes each pair's shorter string the pattern, and
+``lev_ratio`` turns its distances into 1 − dist/max_len ratios.
 """
 
 from __future__ import annotations
@@ -217,10 +217,13 @@ def jaro_winkler_batch(
     )[0]
 
 
-def _levenshtein(pairs_a, pairs_b, cap):
-    """(distances, longer lengths). Per pair the shorter string is the
-    pattern, so a pair runs bit-parallel whenever its shorter side holds at
-    most 128 Latin-1 chars; the distance is symmetric."""
+def levenshtein_batch(
+    pairs_a: list[str], pairs_b: list[str], cap: int | None = None
+) -> np.ndarray:
+    """Edit distances for many pairs; ``cap`` truncates every string first.
+    Per pair the shorter string is the pattern, so a pair runs bit-parallel
+    whenever its shorter side holds at most 128 Latin-1 chars; the distance
+    is symmetric."""
     if cap is not None:
         pairs_a = [s[:cap] for s in pairs_a]
         pairs_b = [s[:cap] for s in pairs_b]
@@ -232,24 +235,7 @@ def _levenshtein(pairs_a, pairs_b, cap):
         shorts.append(b)
     ca, la = codepoints(longs)
     cb, lb = codepoints(shorts)
-    return similarity_batch(ca, la, cb, lb, jw=False)[1], la
-
-
-def levenshtein_ratio_batch(
-    pairs_a: list[str], pairs_b: list[str], cap: int | None = None
-) -> np.ndarray:
-    """Edit-distance ratios (1 − dist/max_len) for many pairs; ``cap``
-    truncates every string first."""
-    dist, max_len = _levenshtein(pairs_a, pairs_b, cap)
-    return lev_ratio(dist, max_len)
-
-
-def levenshtein_batch(
-    pairs_a: list[str], pairs_b: list[str], cap: int | None = None
-) -> np.ndarray:
-    """Raw edit distances for many pairs; ``cap`` truncates every string
-    first."""
-    return _levenshtein(pairs_a, pairs_b, cap)[0]
+    return similarity_batch(ca, la, cb, lb, jw=False)[1]
 
 
 def _equal_rows(codes_a, la, codes_b, lb) -> np.ndarray:

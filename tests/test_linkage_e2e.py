@@ -30,7 +30,8 @@ def score_pairs_batch(turns_a_list, turns_b_list, cosines, cap):
     list-input wrappers, averaged per pair."""
     from deepblocker_ray.functions.textsim import (
         jaro_winkler_batch,
-        levenshtein_ratio_batch,
+        lev_ratio,
+        levenshtein_batch,
     )
     from deepblocker_ray.stages.scoring import SCORE_WEIGHTS as weights
 
@@ -44,7 +45,10 @@ def score_pairs_batch(turns_a_list, turns_b_list, cosines, cap):
         for j in range(m):
             flat_a.append(ta[j][:cap])
             flat_b.append(tb[j][:cap])
-    lev_flat = levenshtein_ratio_batch(flat_a, flat_b)
+    max_len = np.array(
+        [max(len(a), len(b)) for a, b in zip(flat_a, flat_b)], np.int64
+    )
+    lev_flat = lev_ratio(levenshtein_batch(flat_a, flat_b), max_len)
     jw_flat = jaro_winkler_batch(flat_a, flat_b)
     jw = np.zeros(n)
     lev = np.zeros(n)

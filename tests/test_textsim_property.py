@@ -22,9 +22,9 @@ from deepblocker_ray.functions.textsim import (
     jaro,
     jaro_winkler,
     jaro_winkler_batch,
+    lev_ratio,
     levenshtein,
     levenshtein_batch,
-    levenshtein_ratio_batch,
     similarity_batch,
 )
 from deepblocker_ray.stages.scoring import arrow_codepoints
@@ -75,7 +75,8 @@ def test_levenshtein_metric_properties(a, b):
 def test_ratio_batch_consistent_with_distance(pairs):
     ca = [a for a, _ in pairs]
     cb = [b for _, b in pairs]
-    ratio = levenshtein_ratio_batch(ca, cb)
+    max_len = np.array([max(len(a), len(b)) for a, b in pairs], np.int64)
+    ratio = lev_ratio(levenshtein_batch(ca, cb), max_len)
     for a, b, r in zip(ca, cb, ratio):
         m = max(len(a), len(b))
         want = 1.0 if m == 0 else 1.0 - _dp_reference(a, b) / m
