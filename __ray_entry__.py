@@ -446,13 +446,10 @@ def _vec_tuples(sf_dir: str, emb):
         ),
         batch_format="pyarrow",
     )
-    from deepblocker_ray.config import join_partitions
+    from deepblocker_ray.stages.canonicalize import exchange_join
 
-    joined = docs.join(
-        emb.select_columns(["conv_id"]),
-        join_type="inner",
-        num_partitions=join_partitions(8),
-        on=("conv_id",),
+    joined = exchange_join(
+        docs, emb.select_columns(["conv_id"]), "conv_id", "inner"
     )
 
     def to_tuples(t: pa.Table) -> pa.Table:

@@ -80,11 +80,11 @@ class EngineConfig:
     ivf_nprobe: int = 8
 
     # broadcast-join threshold: sides smaller than this are ray.put-broadcast
-    # instead of hash-join shuffled
+    # instead of shuffled through canonicalize.exchange_join
     broadcast_rows_max: int = 2_000_000
 
     # byte cap for plasma-block-lookup broadcast sides (state/lookup): sides
-    # above this fall back to a hash join even if the row count fits — the
+    # above this fall back to exchange_join even if the row count fits — the
     # lookup index must fit a worker heap
     broadcast_bytes_max: int = 2 << 30
 
@@ -117,16 +117,6 @@ def default_parallelism() -> int:
     except Exception:
         pass
     return int(os.environ.get("RAY_GRAFT_CPUS", "32"))
-
-
-def join_partitions(want: int | None = None) -> int:
-    """Safe ``num_partitions`` for ``Dataset.join``: the hash-shuffle
-    aggregator actors must ALL be schedulable or the join deadlocks waiting
-    for actors (probed on Ray 2.49: 8 partitions hang a 2-CPU session and
-    fit a 4-CPU one — ~0.5 CPU per aggregator). Never exceed the session's
-    CPU count; floor at 2 so a join always has a pair of partitions."""
-    cap = max(2, default_parallelism())
-    return cap if want is None else max(2, min(want, cap))
 
 
 def actor_pool_size(configured: int | tuple | None) -> int | tuple:

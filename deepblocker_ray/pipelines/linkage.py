@@ -31,7 +31,7 @@ import pyarrow as pa
 
 from ..config import EngineConfig, sized_block_target
 from ..stages.canonicalize import canonicalize, exchange
-from ..stages.cluster import connected_components
+from ..stages.cluster import assign_cluster_labels, connected_components
 from ..stages.deep_embed import AutoEncoderEmbedder, CTTEmbedder, HybridEmbedder
 from ..stages.embed import AverageEmbedder, SIFEmbedder
 from ..stages.pairing import make_pairer
@@ -88,72 +88,6 @@ def _dedup_candidates(candidates):
         "left_id",
         dedup,
         "pandas",
-    )
-
-
-def assign_cluster_labels(ids_ds, comp, cfg: EngineConfig):
-    """Attach component labels to every conversation id: unmatched ids form
-    singletons (cluster_id = own id). The label side is broadcast via
-    ray.put when it fits ``broadcast_rows_max``, else attached with a
-    left-outer hash join — the single guarded implementation shared by the
-    in-memory pipeline and the manifest (resume) pipeline.
-
-    ``ids_ds`` must have a ``conv_id`` column; ``comp`` is the
-    (conv_id, cluster_id) components Dataset."""
-    n_comp = comp.count()
-    if n_comp == 0:
-        # no matches at all — every conversation is its own cluster (an empty
-        # Dataset has no schema, so the broadcast path below would KeyError)
-        return ids_ds.select_columns(["conv_id"]).map_batches(
-            lambda t: pa.table(
-                {"conv_id": t.column("conv_id"),
-                 "cluster_id": t.column("conv_id")}
-            ),
-            batch_format="pyarrow",
-        )
-    if n_comp <= cfg.broadcast_rows_max:
-        import ray
-
-        comp_df = comp.to_pandas()
-        labeled_ref = ray.put(
-            dict(zip(comp_df["conv_id"], comp_df["cluster_id"]))
-        )
-
-        def assign(batch: pa.Table) -> pa.Table:
-            from ..state.broadcast import cached_get
-
-            labeled = cached_get(labeled_ref)
-            ids = batch.column("conv_id").to_pylist()
-            return pa.table(
-                {
-                    "conv_id": pa.array(ids, pa.string()),
-                    "cluster_id": pa.array(
-                        [labeled.get(i, i) for i in ids], pa.string()
-                    ),
-                }
-            )
-
-        return ids_ds.select_columns(["conv_id"]).map_batches(
-            assign, batch_format="pyarrow"
-        )
-    from ..config import join_partitions
-
-    joined = ids_ds.select_columns(["conv_id"]).join(
-        comp,
-        join_type="left_outer",
-        num_partitions=join_partitions(),
-        on=("conv_id",),
-    )
-    return joined.map_batches(
-        lambda t: pa.table(
-            {
-                "conv_id": t.column("conv_id"),
-                "cluster_id": pa.compute.coalesce(
-                    t.column("cluster_id"), t.column("conv_id")
-                ),
-            }
-        ),
-        batch_format="pyarrow",
     )
 
 

@@ -56,6 +56,139 @@ def exchange(ds, key: str, fn, batch_format: str):
     )
 
 
+JOIN_TYPES = ("inner", "left outer", "left semi", "left anti")
+
+
+def _arrow_side(ds):
+    """``ds`` with Arrow blocks, and its Arrow schema. pandas blocks report
+    numpy dtypes (object for strings), so such a side is re-read as Arrow.
+    Reading a lazy side's schema runs its plan up to its first block."""
+    if not isinstance(getattr(ds.schema(), "base_schema", None), pa.Schema):
+        ds = ds.map_batches(lambda t: t, batch_format="pyarrow")
+    sch = getattr(ds.schema(), "base_schema", None)
+    if sch is None:
+        raise ValueError("exchange_join needs both sides' schemas")
+    return ds, sch
+
+
+def exchange_join(left, right, on: str, how: str):
+    """Keyed join of two Datasets as ONE key exchange: both sides are tagged
+    into one padded schema (``on`` cast to one type, the left columns, the
+    right non-key columns, an int8 ``_side``), unioned, and ``exchange``d
+    on ``on``; each shuffled block then splits by ``_side`` and runs one
+    Arrow ``Table.join``. Every block carries the full padded schema, so a
+    block holding rows of only one side still joins (and an empty block
+    yields an empty, typed table). Output: the left columns in their order
+    (the key as one type), then the right non-key columns.
+
+    ``how`` is an Arrow join type in ``JOIN_TYPES``: inner and left outer
+    keep duplicate right keys' row multiplicity; left semi / left anti only
+    test key existence. A null key never matches: right rows with one are
+    dropped, and left ones are dropped (inner, semi) or ride the exchange
+    under a stand-in key, since a sort cannot order nulls, and come out
+    unmatched (left outer, anti). Arrow rejects nested (list) non-key
+    columns in a join — pack them first. The output's schema is recorded,
+    so a chained join reads it without executing this one.
+
+    Ray 2.49's sort merges a block whose pieces mix Arrow and pandas (one
+    empty pandas input block suffices: ``map_batches`` passes it through
+    uncalled) in pandas, so a shuffled block may arrive rebuilt from
+    pandas: all-null columns typed null, integer columns with nulls as
+    float64. The body therefore casts each side back to its schema, and
+    integer columns are padded with 0, not null, so the other side's
+    padding cannot turn them float64."""
+    import pyarrow.compute as pc
+
+    if how not in JOIN_TYPES:
+        raise ValueError(f"how must be one of {JOIN_TYPES}, got {how!r}")
+    (left, ls), (right, rs) = _arrow_side(left), _arrow_side(right)
+    key_type = pa.unify_schemas(
+        [pa.schema([ls.field(on)]), pa.schema([rs.field(on)])],
+        promote_options="permissive",
+    ).field(on).type
+    key_field = pa.field(on, key_type)
+    l_schema = pa.schema([key_field if f.name == on else f for f in ls])
+    r_fields = [f for f in rs if f.name != on]
+    r_schema = pa.schema([key_field, *r_fields])
+    clash = set(l_schema.names) & set(r_schema.names) - {on}
+    if clash:
+        raise ValueError(f"both sides carry non-key columns {sorted(clash)}")
+    fields = [key_field] + [f for f in l_schema if f.name != on] + r_fields
+    padded = pa.schema([*fields, pa.field("_side", pa.int8())])
+    keep_unmatched = how in ("left outer", "left anti")
+    existence_only = how in ("left semi", "left anti")
+    out_schema = pa.schema(
+        list(l_schema) + ([] if existence_only else r_fields)
+    )
+    if keep_unmatched:
+        stand_in = pa.array([0]).cast(key_type)[0]
+
+    def pad(n: int, typ: pa.DataType):
+        if pa.types.is_integer(typ):
+            return pa.array(np.zeros(n, np.int8)).cast(typ)
+        return pa.nulls(n, typ)
+
+    def tag(side: int, own: list[str]):
+        def fn(t: pa.Table) -> pa.Table:
+            valid = pc.is_valid(t.column(on))
+            if side == 1 or not keep_unmatched:
+                t = t.filter(valid)
+                sides = pa.array(np.full(len(t), side, np.int8))
+                key = t.column(on).cast(key_type)
+            else:  # side 2: a null left key, kept but never joined
+                sides = pc.if_else(valid, np.int8(0), np.int8(2))
+                key = pc.fill_null(t.column(on).cast(key_type), stand_in)
+            n = len(t)
+            return pa.table(
+                [key]
+                + [
+                    t.column(f.name).cast(f.type)
+                    if f.name in own
+                    else pad(n, f.type)
+                    for f in fields[1:]
+                ]
+                + [sides],
+                schema=padded,
+            )
+
+        return fn
+
+    def body(t: pa.Table) -> pa.Table:
+        if t.num_columns == 0:  # no rows reached this block
+            return out_schema.empty_table()
+        side = t.column("_side")
+
+        def rows(s: int, schema: pa.Schema) -> pa.Table:
+            kept = t.filter(pc.equal(side, s))
+            return kept.select(schema.names).cast(schema)
+
+        out = rows(0, l_schema).join(
+            rows(1, r_schema), on, join_type=how, use_threads=False
+        )
+        out = out.select(out_schema.names).cast(out_schema)
+        if not keep_unmatched:
+            return out
+        # null-key left rows: their key back to null, no right columns
+        nk = rows(2, l_schema)
+        nk = pa.table(
+            [
+                nk.column(f.name)
+                if f.name != on and f.name in l_schema.names
+                else pa.nulls(len(nk), f.type)
+                for f in out_schema
+            ],
+            schema=out_schema,
+        )
+        return pa.concat_tables([out, nk])
+
+    tagged = left.map_batches(
+        tag(0, l_schema.names), batch_format="pyarrow"
+    ).union(right.map_batches(tag(1, r_schema.names), batch_format="pyarrow"))
+    out = exchange(tagged, on, body, "pyarrow")
+    out._plan.cache_schema(out_schema)
+    return out
+
+
 def turn_fragment(
     role: pd.Series, text: pd.Series, tool: pd.Series
 ) -> pd.Series:

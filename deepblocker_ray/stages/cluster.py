@@ -121,9 +121,8 @@ def connected_components(
         return rd.from_pandas(union_find_pandas(pdf, src, dst))
 
     # Homogeneous triple encoding (key, val, is_label) lets one union +
-    # key exchange implement "attach each node's label to its edges" without
-    # Dataset.join (whose aggregator-actor CPU reservation can deadlock
-    # against backpressured upstream tasks on small sessions). Every
+    # key exchange implement "attach each node's label to its edges" in
+    # one exchange per round (the pattern exchange_join generalizes). Every
     # exchange body is a whole-block Arrow kernel (hash join + min
     # group-by), vectorized over all the keys the block holds.
     from .canonicalize import exchange
@@ -250,6 +249,74 @@ def connected_components(
             "driver_threshold of the union-find fast path."
         )
     return labels
+
+
+def assign_cluster_labels(
+    ids_ds, comp, cfg: EngineConfig, id_col: str = "conv_id"
+):
+    """Attach component labels to every id of ``ids_ds[id_col]`` →
+    (id_col, cluster_id) Dataset, both strings. Ids absent from ``comp``
+    (the (conv_id, cluster_id) components Dataset) form singletons:
+    cluster_id = own id. The label side is broadcast via ray.put when it
+    fits ``broadcast_rows_max``, else attached with a left-outer
+    ``exchange_join`` — the one label attach shared by the linkage
+    pipelines (in memory and resumed) and every dedup operator."""
+    ids = ids_ds.select_columns([id_col])
+    n_comp = comp.count()
+    if n_comp <= cfg.broadcast_rows_max:
+        import ray
+
+        # no matches at all: every id is its own cluster (an empty
+        # Dataset has no schema, so to_pandas would lose the columns)
+        labeled = {}
+        if n_comp:
+            comp_df = comp.to_pandas()
+            labeled = dict(zip(comp_df["conv_id"], comp_df["cluster_id"]))
+        labeled_ref = ray.put(labeled)
+
+        def assign(batch: pa.Table) -> pa.Table:
+            from ..state.broadcast import cached_get
+
+            labeled = cached_get(labeled_ref)
+            ids = batch.column(id_col).cast(pa.string()).to_pylist()
+            return pa.table(
+                {
+                    id_col: pa.array(ids, pa.string()),
+                    "cluster_id": pa.array(
+                        [labeled.get(i, i) for i in ids], pa.string()
+                    ),
+                }
+            )
+
+        return ids.map_batches(assign, batch_format="pyarrow")
+
+    from .canonicalize import exchange_join
+
+    def as_strings(names):
+        return lambda t: pa.table(
+            {
+                out: t.column(src).cast(pa.string())
+                for out, src in zip(names, t.column_names)
+            }
+        )
+
+    labels = comp.select_columns(["conv_id", "cluster_id"]).map_batches(
+        as_strings([id_col, "cluster_id"]), batch_format="pyarrow"
+    )
+    return exchange_join(
+        ids.map_batches(as_strings([id_col]), batch_format="pyarrow"),
+        labels, id_col, "left outer",
+    ).map_batches(
+        lambda t: pa.table(
+            {
+                id_col: t.column(id_col),
+                "cluster_id": pc.coalesce(
+                    t.column("cluster_id"), t.column(id_col)
+                ),
+            }
+        ),
+        batch_format="pyarrow",
+    )
 
 
 def survivorship(
@@ -919,7 +986,8 @@ def graph_modularity(
     (n_edges, n_clusters, q).
 
     Scale shape: labels attach to the edge stream via the guarded broadcast
-    (dict under broadcast_rows_max, two hash joins past it); each labeled
+    (dict under broadcast_rows_max, past it two chained inner
+    ``exchange_join``s — left end, then right end); each labeled
     batch collapses to (cluster, e_partial, d_partial) rows; ONE bucketed
     exchange on hash(cluster) combines them, and each bucket reduces to a
     single row carrying Σe (int64 — bounded by m) and Σd² as an
@@ -1002,7 +1070,15 @@ def graph_modularity(
 
         cell_stream = edges.map_batches(edge_partial, batch_format="pandas")
     else:
-        from ..config import join_partitions
+        from .canonicalize import exchange_join
+
+        def lab_as(key: str, lab: str):
+            return lab_skinny.map_batches(
+                lambda t: pa.table(
+                    {key: t.column("_id"), lab: t.column("_lab")}
+                ),
+                batch_format="pyarrow",
+            )
 
         e_sk = edges.map_batches(
             lambda t: pa.table(
@@ -1013,27 +1089,15 @@ def graph_modularity(
             ),
             batch_format="pyarrow",
         )
-        j1 = e_sk.join(
-            lab_skinny, join_type="inner",
-            num_partitions=join_partitions(), on=("_id",),
-        ).map_batches(
-            lambda t: pa.table(
-                {
-                    "_id": t.column("_rid"),
-                    "_la": t.column("_lab"),
-                }
-            ),
-            batch_format="pyarrow",
+        # label of the left end, then of the right end: two chained joins
+        j = exchange_join(
+            exchange_join(e_sk, lab_as("_id", "_la"), "_id", "inner"),
+            lab_as("_rid", "_lb"), "_rid", "inner",
         )
-        j2 = j1.join(
-            lab_skinny, join_type="inner",
-            num_partitions=join_partitions(), on=("_id",),
+        cell_stream = j.map_batches(
+            lambda df: partials_from(df["_la"], df["_lb"]),
+            batch_format="pandas",
         )
-
-        def joined_partial(df: pd.DataFrame) -> pd.DataFrame:
-            return partials_from(df["_la"], df["_lab"])
-
-        cell_stream = j2.map_batches(joined_partial, batch_format="pandas")
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         sum_e = int(g["_e"].sum())
@@ -1127,8 +1191,8 @@ def kcore_peel(
     rounds (nodes that lost every edge do not appear).
 
     Scale shape: per round, one bucketed degree exchange + two guarded
-    semi-joins (the ≥k node set broadcasts under the cap, distinct-marker
-    hash join past it); the edge set is re-materialized per round — the
+    semi-joins (the ≥k node set broadcasts under the cap, a left semi
+    exchange_join past it); the edge set is re-materialized per round — the
     synchronous barrier peeling has anyway (the pagerank measurement:
     an unflattened lazy chain was 9× slower). The semi-joins compare
     md5-lower64 node hashes (broadcast_exists_join's int64 contract) — the

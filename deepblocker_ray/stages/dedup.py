@@ -19,7 +19,7 @@ Scale posture:
   - signatures + per-doc shingle/gram sets are computed ONCE in the signature
     stage, batched and vectorized; the verify stage re-uses them via a
     byte-capped plasma-block lookup (state/lookup.ColumnLookup) or, beyond
-    the cap, a hash join — never a driver-side Python dict and never a
+    the cap, an exchange_join — never a driver-side Python dict and never a
     per-pair recompute.
   - hot LSH keys are SALTED AND SPLIT (north_rule): a key with B > max_bucket
     members is divided into ceil(B/max_bucket) salt groups and every
@@ -44,8 +44,8 @@ import pandas as pd
 import pyarrow as pa
 
 from ..config import EngineConfig
-from ..stages.canonicalize import bucket_of
-from ..stages.cluster import connected_components
+from ..stages.canonicalize import bucket_of, exchange_join
+from ..stages.cluster import assign_cluster_labels, connected_components
 from ..state.lookup import id_hash
 
 _MERSENNE = np.uint64((1 << 61) - 1)
@@ -239,9 +239,9 @@ def exact_dedup(
     exchange would move the whole corpus at 100-TB scale). Winners (one row
     per distinct text) are then re-attached to their text MAP-SIDE via the
     byte-capped broadcast lookup (state/lookup.ColumnLookup), falling back
-    to a hash join when the winner set exceeds the caps. Text identity is
-    the 128-bit md5; a false merge needs an md5 collision (~n²/2¹²⁸ —
-    negligible at any corpus size)."""
+    to an inner ``exchange_join`` when the winner set exceeds the caps.
+    Text identity is the 128-bit md5; a false merge needs an md5 collision
+    (~n²/2¹²⁸ — negligible at any corpus size)."""
     cfg = cfg or EngineConfig()
     nb = cfg.num_buckets
 
@@ -330,20 +330,16 @@ def exact_dedup(
 
         return ds.map_batches(attach, batch_format="pyarrow")
 
-    from ..config import join_partitions
-
-    joined = ds.map_batches(
+    docs = ds.map_batches(
         lambda t: pa.table(
             {"_pid": t.column(id_col).cast(pa.string()),
              "_wid": t.column(id_col),
              text_col: t.column(text_col)}
         ),
         batch_format="pyarrow",
-    ).join(
-        mat.select_columns(["_pid", "_n"]),
-        join_type="inner",
-        num_partitions=join_partitions(),
-        on=("_pid",),
+    )
+    joined = exchange_join(
+        docs, mat.select_columns(["_pid", "_n"]), "_pid", "inner"
     )
     return joined.map_batches(
         lambda t: pa.table(
@@ -599,10 +595,11 @@ def _verify_pairs(cand, payload_ds, id_col, payload_col, cfg, pair_fn):
 
     Small payload side: materialized Arrow block refs + worker-side
     ColumnLookup (plasma zero-copy; cap bounds BYTES via size_bytes, not just
-    rows). Large side: two hash joins. The driver never builds a dict of the
-    table. List payloads (shingle/gram sets) are packed to large_binary in
-    the skinny projection — Acero hash joins reject nested non-key columns,
-    and the binary form round-trips zero-copy via np.frombuffer."""
+    rows). Large side: two chained inner ``exchange_join``s (left id, then
+    right id). The driver never builds a dict of the table. List payloads
+    (shingle/gram sets) are packed to large_binary in the skinny projection
+    — Acero hash joins reject nested non-key columns, and the binary form
+    round-trips zero-copy via np.frombuffer."""
 
     def project(t: pa.Table) -> pa.Table:
         pay = t.column(payload_col).combine_chunks()
@@ -651,9 +648,6 @@ def _verify_pairs(cand, payload_ds, id_col, payload_col, cfg, pair_fn):
 
         return cand.map_batches(verify, batch_format="pyarrow")
 
-    from ..config import join_partitions
-
-    nparts = join_partitions()
     # if the rows-cap passed but the bytes-cap rejected, `mat` already holds
     # the projected payload — join from it instead of re-running the
     # projection once per side
@@ -667,16 +661,20 @@ def _verify_pairs(cand, payload_ds, id_col, payload_col, cfg, pair_fn):
             batch_format="pyarrow",
         )
 
-    joined = cand.join(
-        side("left_id", "_lp"),
-        join_type="inner",
-        num_partitions=nparts,
-        on=("left_id",),
-    ).join(
-        side("right_id", "_rp"),
-        join_type="inner",
-        num_partitions=nparts,
-        on=("right_id",),
+    # materialized: exchange_join reads its schema, which would otherwise
+    # run the whole candidate plan once more
+    pairs = cand.map_batches(
+        lambda t: pa.table(
+            {
+                "left_id": t.column("left_id").cast(pa.string()),
+                "right_id": t.column("right_id").cast(pa.string()),
+            }
+        ),
+        batch_format="pyarrow",
+    ).materialize()
+    joined = exchange_join(
+        exchange_join(pairs, side("left_id", "_lp"), "left_id", "inner"),
+        side("right_id", "_rp"), "right_id", "inner",
     )
 
     def verify_joined(batch: pa.Table) -> pa.Table:
@@ -879,74 +877,19 @@ def _hamming_verify_fn(max_hamming: int):
 
 
 def _components_output(ds, pairs, cfg, id_col):
-    """edges → components; every doc labeled (singletons = own id).
-    Component labels are broadcast under broadcast_rows_max, else attached
-    via a left-outer hash join."""
+    """edges → components; every doc labeled (singletons = own id) by
+    ``cluster.assign_cluster_labels``; ``is_duplicate`` = labeled with
+    another doc's id."""
     import pyarrow.compute as pc
 
-    import ray
-
     comp = connected_components(pairs, cfg, src="left_id", dst="right_id")
-    n_comp = comp.count()
-    if n_comp <= cfg.broadcast_rows_max:
-        if n_comp > 0:
-            comp_df = comp.to_pandas()
-            labeled = dict(zip(comp_df["conv_id"], comp_df["cluster_id"]))
-        else:
-            labeled = {}
-        labeled_ref = ray.put(labeled)
-
-        def assign(batch: pa.Table) -> pa.Table:
-            from ..state.broadcast import cached_get
-
-            labeled = cached_get(labeled_ref)
-            ids = [str(x) for x in batch.column(id_col).to_pylist()]
-            cl = [labeled.get(i, i) for i in ids]
-            return pa.table(
-                {
-                    "doc_id": pa.array(ids, pa.string()),
-                    "cluster_id": pa.array(cl, pa.string()),
-                    "is_duplicate": pa.array(
-                        [c != i for i, c in zip(ids, cl)]
-                    ),
-                }
-            )
-
-        return ds.map_batches(assign, batch_format="pyarrow")
-
-    from ..config import join_partitions
-
-    docs = ds.map_batches(
-        lambda t: pa.table({"doc_id": t.column(id_col).cast(pa.string())}),
-        batch_format="pyarrow",
-    )
-    comp_side = comp.map_batches(
+    return assign_cluster_labels(ds, comp, cfg, id_col).map_batches(
         lambda t: pa.table(
             {
-                "doc_id": t.column("conv_id").cast(pa.string()),
-                "cluster_id": t.column("cluster_id").cast(pa.string()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    joined = docs.join(
-        comp_side,
-        join_type="left_outer",
-        num_partitions=join_partitions(),
-        on=("doc_id",),
-    )
-    return joined.map_batches(
-        lambda t: pa.table(
-            {
-                "doc_id": t.column("doc_id"),
-                "cluster_id": pc.coalesce(
-                    t.column("cluster_id"), t.column("doc_id")
-                ),
-                "is_duplicate": pc.invert(
-                    pc.equal(
-                        pc.coalesce(t.column("cluster_id"), t.column("doc_id")),
-                        t.column("doc_id"),
-                    )
+                "doc_id": t.column(id_col),
+                "cluster_id": t.column("cluster_id"),
+                "is_duplicate": pc.not_equal(
+                    t.column("cluster_id"), t.column(id_col)
                 ),
             }
         ),
@@ -2322,9 +2265,7 @@ def segment_dedup(
 
         return ds.map_batches(attach, batch_format="pyarrow")
 
-    from ..config import join_partitions
-
-    joined = ds.map_batches(
+    docs = ds.map_batches(
         lambda t: pa.table(
             {
                 "_pid": t.column(id_col).cast(pa.string()),
@@ -2333,11 +2274,9 @@ def segment_dedup(
             }
         ),
         batch_format="pyarrow",
-    ).join(
-        mat.select_columns(["_pid", "_blob"]),
-        join_type="left_outer",
-        num_partitions=join_partitions(),
-        on=("_pid",),
+    )
+    joined = exchange_join(
+        docs, mat.select_columns(["_pid", "_blob"]), "_pid", "left outer"
     )
     return joined.map_batches(
         lambda t: rebuild(

@@ -739,14 +739,41 @@ def column_entropy(ds, cfg=None, *, columns: list[str]):
     )
 
 
+def _qi_table(t: pa.Table, columns: list[str]) -> pa.Table:
+    """The quasi-identifier columns of a batch as strings named _q0, _q1, …
+    Classes are grouped with Arrow: null is its own value, and values that
+    agree up to a ``"\x00"`` stay apart (pandas grouping merges them)."""
+    return pa.table(
+        {
+            f"_q{i}": pc.cast(t.column(c), pa.string())
+            for i, c in enumerate(columns)
+        }
+    )
+
+
+def _qi_bucket(t: pa.Table, qnames: list[str], nb: int) -> pa.Array:
+    """Exchange bucket of each row's quasi-identifier tuple: md5 of the
+    tuple's columns joined by ``"\x1f"`` (nulls as ``"\x00null"``). This
+    only routes rows — equal tuples share a bucket; classes are told apart
+    by the Arrow group_by in the fold, never by this key."""
+    from .dedup import hash64_strs
+
+    key = pc.binary_join_element_wise(
+        *[pc.fill_null(t.column(q), "\x00null") for q in qnames], "\x1f"
+    )
+    return pa.array(
+        (hash64_strs(key.to_pylist()) % np.uint64(nb)).astype(np.int32)
+    )
+
+
 def k_anonymity(ds, cfg=None, *, columns: list[str], k: int = 5):
     """k-anonymity audit over a quasi-identifier column set — the
     privacy screen for training-data release: rows whose full
     quasi-identifier tuple is shared by fewer than ``k`` rows are
     re-identifiable. ONE summary row:
     (n_rows, n_classes = distinct tuples, n_small_classes = classes
-    with < k rows, n_risky_rows = rows in them), all int64. Nulls
-    participate as ordinary values (stringified).
+    with < k rows, n_risky_rows = rows in them), all int64. A null is
+    one more value of its column.
 
     Scale shape: per-batch tuple-count partials (bounded by distinct
     tuples), ONE hash(tuple) exchange so each class's global size folds
@@ -754,7 +781,6 @@ def k_anonymity(ds, cfg=None, *, columns: list[str], k: int = 5):
     import ray.data as rd
 
     from ..config import EngineConfig
-    from .dedup import hash64_strs
 
     cfg = cfg or EngineConfig()
     nb = cfg.num_buckets
@@ -763,37 +789,28 @@ def k_anonymity(ds, cfg=None, *, columns: list[str], k: int = 5):
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
 
-    def partial(t: pa.Table) -> pd.DataFrame:
-        key = None
-        for c in columns:
-            col = pd.Series(
-                np.asarray(
-                    pc.fill_null(
-                        pc.cast(t.column(c), pa.string()), "\x00null"
-                    ),
-                    object,
-                )
-            )
-            key = col if key is None else key + "\x1f" + col
-        vc = key.value_counts()
-        u = vc.index.to_numpy(object)
-        return pd.DataFrame(
-            {
-                "tup": u,
-                "cnt": vc.to_numpy(np.int64),
-                "_bucket": (
-                    hash64_strs(u) % np.uint64(nb)
-                ).astype(np.int32),
-            }
+    qnames = [f"_q{i}" for i in range(len(columns))]
+
+    def partial(t: pa.Table) -> pa.Table:
+        counts = _qi_table(t, columns).group_by(
+            qnames, use_threads=False
+        ).aggregate([([], "count_all")])
+        return counts.append_column(
+            "_bucket", _qi_bucket(counts, qnames, nb)
         )
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        c = g.groupby("tup", sort=False)["cnt"].sum()
+    def fold(g: pa.Table) -> pa.Table:
+        c = (
+            g.group_by(qnames, use_threads=False)
+            .aggregate([("count_all", "sum")])
+            .column("count_all_sum")
+            .to_numpy()
+        )
         small = c < k
-        return pd.DataFrame(
+        return pa.table(
             {
                 "n_rows": [int(c.sum())],
-                "n_classes": [int(len(c))],
+                "n_classes": [len(c)],
                 "n_small_classes": [int(small.sum())],
                 "n_risky_rows": [int(c[small].sum())],
             }
@@ -802,7 +819,7 @@ def k_anonymity(ds, cfg=None, *, columns: list[str], k: int = 5):
     folded = (
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby("_bucket")
-        .map_groups(fold, batch_format="pandas")
+        .map_groups(fold, batch_format="pyarrow")
         .to_pandas()
     )
     sums = folded.sum() if len(folded) else None
@@ -839,15 +856,14 @@ def l_diversity(ds, cfg=None, *, qi_columns: list[str],
     its SENSITIVE attribute takes fewer than ``l`` distinct values
     (every member leaks the sensitive value even when the class is
     large). ONE summary row: (n_classes, n_low_classes, n_risky_rows),
-    all int64. Nulls stringify as ordinary values.
+    all int64. A null is one more value of its column.
 
-    Scale shape: map-side DISTINCT (tuple, sensitive) rows plus tuple
-    row-count partials, ONE hash(tuple) exchange counting both distinct
-    sensitive values and rows per class, per-bucket 3-number partials."""
+    Scale shape: map-side (tuple, sensitive value) row-count partials,
+    ONE hash(tuple) exchange counting both distinct sensitive values and
+    rows per class, per-bucket 3-number partials."""
     import ray.data as rd
 
     from ..config import EngineConfig
-    from .dedup import hash64_strs
 
     cfg = cfg or EngineConfig()
     nb = cfg.num_buckets
@@ -856,73 +872,44 @@ def l_diversity(ds, cfg=None, *, qi_columns: list[str],
     if l < 2:
         raise ValueError(f"l must be >= 2, got {l}")
 
-    def partial(t: pa.Table) -> pd.DataFrame:
-        key = None
-        for c in qi_columns:
-            col = pd.Series(
-                np.asarray(
-                    pc.fill_null(
-                        pc.cast(t.column(c), pa.string()), "\x00null"
-                    ),
-                    object,
-                )
-            )
-            key = col if key is None else key + "\x1f" + col
-        sens = pd.Series(
-            np.asarray(
-                pc.fill_null(
-                    pc.cast(t.column(sensitive_col), pa.string()),
-                    "\x00null",
-                ),
-                object,
-            )
-        )
-        df = pd.DataFrame({"tup": key, "s": sens})
-        rows = df.groupby("tup", sort=False).size().rename("cnt")
-        dist = df.drop_duplicates()
-        # out-of-band kind column (the sequence_gap_audit pattern) —
-        # an in-band sentinel sensitive value could collide with data
-        out = dist.assign(
-            cnt=np.zeros(len(dist), np.int64),
-            kind=np.zeros(len(dist), np.int8),
-        )
-        marker = rows.reset_index().assign(
-            s="", kind=np.int8(1)
-        )
-        all_rows = pd.concat(
-            [out[["tup", "s", "cnt", "kind"]],
-             marker[["tup", "s", "cnt", "kind"]]],
-            ignore_index=True,
-        )
-        codes, uniq = pd.factorize(all_rows["tup"], sort=False)
-        h = hash64_strs(uniq)[codes]
-        all_rows["_bucket"] = (h % np.uint64(nb)).astype(np.int32)
-        return all_rows
+    qnames = [f"_q{i}" for i in range(len(qi_columns))]
+    names = qnames + ["s"]
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        rows_per = (
-            g[g["kind"] == 1].groupby("tup", sort=False)["cnt"].sum()
+    def partial(t: pa.Table) -> pa.Table:
+        # rows per (class, sensitive value): both per-class counts fold
+        # from these
+        counts = (
+            _qi_table(t, qi_columns)
+            .append_column("s", pc.cast(t.column(sensitive_col), pa.string()))
+            .group_by(names, use_threads=False)
+            .aggregate([([], "count_all")])
         )
-        nsens = (
-            g[g["kind"] == 0]
-            .drop_duplicates(["tup", "s"])
-            .groupby("tup", sort=False)
-            .size()
+        return counts.append_column(
+            "_bucket", _qi_bucket(counts, qnames, nb)
         )
-        low = nsens < l
-        risky = rows_per.reindex(nsens.index[low]).fillna(0)
-        return pd.DataFrame(
+
+    def fold(g: pa.Table) -> pa.Table:
+        per_class = (
+            g.group_by(names, use_threads=False)
+            .aggregate([("count_all", "sum")])
+            .group_by(qnames, use_threads=False)
+            .aggregate([([], "count_all"), ("count_all_sum", "sum")])
+        )
+        ns = per_class.column("count_all").to_numpy()
+        cnt = per_class.column("count_all_sum_sum").to_numpy()
+        low = ns < l
+        return pa.table(
             {
-                "n_classes": [int(len(nsens))],
+                "n_classes": [len(ns)],
                 "n_low_classes": [int(low.sum())],
-                "n_risky_rows": [int(risky.sum())],
+                "n_risky_rows": [int(cnt[low].sum())],
             }
         )
 
     folded = (
         ds.map_batches(partial, batch_format="pyarrow")
         .groupby("_bucket")
-        .map_groups(fold, batch_format="pandas")
+        .map_groups(fold, batch_format="pyarrow")
         .to_pandas()
     )
     s = folded.sum() if len(folded) else None

@@ -9,8 +9,9 @@ joined against small dimension tables. The Ray-native design:
 - ``broadcast_join``: the small side is collected ONCE, ``ray.put`` into the
   object store, and every map task reads it zero-copy — the fact stream
   never shuffles. Guarded by ``EngineConfig.broadcast_rows_max``: a small
-  side above the cap falls back to Ray Data's hash join (which shuffles
-  both sides) with identical inner-join semantics.
+  side above the cap falls back to ``canonicalize.exchange_join`` (one key
+  exchange of both sides, then an Arrow join per shuffled block) with
+  identical inner-join semantics.
 - ``segment_revenue``: lineitem → orders → customer chained broadcast
   joins, then a map-side partial aggregate so the final exchange moves only
   (segment, partials) rows. Money is exact integer 1e-4-dollar units
@@ -43,30 +44,24 @@ def broadcast_join(
 
     Small side ≤ cfg.broadcast_rows_max: collected once, ``ray.put``, and
     merged map-side inside map_batches (vectorized pandas hash merge) — the
-    big side streams with NO shuffle. Above the cap: Ray Data's native hash
-    join (both sides exchange). Duplicate small-side keys keep their
-    multiplicity (true join semantics, not a lookup)."""
-    from ..config import default_parallelism
-
+    big side streams with NO shuffle. Above the cap: an inner
+    ``exchange_join`` (both sides ride one key exchange). Duplicate
+    small-side keys keep their multiplicity on both paths (true join
+    semantics, not a lookup)."""
     cfg = cfg or EngineConfig()
     # materialize the projected small side ONCE: count() and the collection
     # below would otherwise each execute the small-side plan
     small_ds = small_ds.select_columns([small_key] + payload_cols).materialize()
-    small_count = small_ds.count()
-    if small_count > cfg.broadcast_rows_max:
-        # join aggregator actors must all fit the session: num_partitions
-        # above the CPU count deadlocks a small session waiting for actors
-        nparts = max(2, min(cfg.num_buckets // 4, default_parallelism()))
-        joined = big_ds.join(
-            small_ds,
-            join_type="inner",
-            num_partitions=nparts,
-            on=(big_key,),
-            right_on=(small_key,),
+    if small_ds.count() > cfg.broadcast_rows_max:
+        from .canonicalize import exchange_join
+
+        # the small key renamed to big_key: the output carries only the big
+        # side's key column — the same shape as the broadcast path's merge
+        small = small_ds.map_batches(
+            lambda t: t.rename_columns([big_key] + payload_cols),
+            batch_format="pyarrow",
         )
-        # Ray's join emits only the left key column — same shape as the
-        # broadcast path's merge output
-        return joined
+        return exchange_join(big_ds, small, big_key, "inner")
 
     small_df = small_ds.to_pandas().rename(columns={small_key: big_key})
     small_ref = ray.put(small_df)
@@ -92,8 +87,8 @@ def broadcast_exists_join(
     """Semi join (``anti=False``: keep big rows whose key appears in
     ``small_ds``) or anti join (``anti=True``: keep rows whose key does
     NOT). Only existence of the key matters — no payload is attached, so
-    the exclusion side is reduced to its DISTINCT int64 key set map-side
-    before anything moves.
+    the exclusion side is reduced to per-batch distinct int64 keys
+    map-side before anything moves.
 
     Keys must be integer-typed (both sides are compared as int64 — hash
     string keys to int64 first, e.g. dedup._stable_hash64).
@@ -101,10 +96,10 @@ def broadcast_exists_join(
     Distinct-key set ≤ cfg.broadcast_rows_max: sorted numpy array shipped
     once via ``ray.put``, membership tested per batch with a vectorized
     ``searchsorted`` — the big side streams with NO shuffle. Above the cap:
-    one bucketed exchange on hash(key) co-locates big rows with the key set
-    and the identical membership test runs per bucket (the big side's
-    projected columns ride that one exchange — unavoidable for any hash
-    semi/anti join; at 100 TB project first)."""
+    one ``left semi`` / ``left anti`` ``exchange_join`` of the big rows
+    against the key partials (the big side's columns ride that one
+    exchange — unavoidable for any shuffled semi/anti join; at 100 TB
+    project first)."""
     cfg = cfg or EngineConfig()
 
     def distinct_keys(t: pa.Table) -> pa.Table:
@@ -115,8 +110,9 @@ def broadcast_exists_join(
         )
 
     # per-batch distinct → tiny key partials; exact distinct happens on the
-    # driver (broadcast path) or in a bucketed exchange (join path). n_keys
-    # counts the partials — a conservative overestimate for the cap test.
+    # driver (broadcast path) and is not needed by the exchange_join path.
+    # n_keys counts the partials — a conservative overestimate for the cap
+    # test.
     keys_ds = small_ds.select_columns([small_key]).map_batches(
         distinct_keys, batch_format="pyarrow"
     ).materialize()
@@ -147,58 +143,27 @@ def broadcast_exists_join(
 
         return big_ds.map_batches(filt, batch_format="pyarrow")
 
-    # exchange fallback: hash-join a 1-column marker side, keep/drop on the
-    # marker. Keys are made globally distinct first (per-batch distinct can
-    # repeat a key across batches, which would duplicate big rows in the
-    # join) via the house small-int-bucket exchange, never a per-key groupby.
-    from ..config import default_parallelism
-    from .events import _user_bucket
+    # exchange fallback: one semi / anti exchange_join against the key
+    # partials — Arrow's semi and anti joins only test existence, so keys
+    # repeated across partials need no distinct pass. The big key compares
+    # as int64 through a temp column (an int32 parquet key would otherwise
+    # widen in the output), dropped again below.
+    import pyarrow.compute as pc
 
-    nb = cfg.num_buckets
+    from .canonicalize import exchange_join
 
-    def key_bucket(t: pa.Table) -> pa.Table:
-        k = np.asarray(t.column("_key"), np.int64)
-        return t.append_column("_bucket", pa.array(_user_bucket(k, nb)))
-
-    def mark_unique(df: pd.DataFrame) -> pd.DataFrame:
-        ks = np.unique(df["_key"].to_numpy(np.int64))
-        return pd.DataFrame(
-            {"_key": ks, "_hit": np.ones(len(ks), np.int8)}
-        )
-
-    marker = (
-        keys_ds.map_batches(key_bucket, batch_format="pyarrow")
-        .groupby("_bucket")
-        .map_groups(mark_unique, batch_format="pandas")
+    big = big_ds.map_batches(
+        lambda t: t.append_column(
+            "_bk", pc.cast(t.column(big_key), pa.int64())
+        ),
+        batch_format="pyarrow",
     )
-    nparts = max(2, min(cfg.num_buckets // 4, default_parallelism()))
-    big_cols = big_ds.schema().names
-
-    # The marker side is int64 (distinct_keys casts); pyarrow's hash join
-    # rejects mismatched key types (e.g. an int32 parquet key), so mirror
-    # the broadcast path's "compared as int64" contract with a temp cast
-    # column — dropped again by filt's select below.
-    def add_bk(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        return t.append_column("_bk", pc.cast(t.column(big_key), pa.int64()))
-
-    joined = big_ds.map_batches(add_bk, batch_format="pyarrow").join(
-        marker,
-        join_type="left_outer",
-        num_partitions=nparts,
-        on=("_bk",),
-        right_on=("_key",),
+    keys = keys_ds.map_batches(
+        lambda t: t.rename_columns(["_bk"]), batch_format="pyarrow"
     )
-
-    def filt(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        hit = pc.is_valid(t.column("_hit"))
-        kept = t.filter(pc.invert(hit) if anti else hit)
-        return kept.select(big_cols)
-
-    return joined.map_batches(filt, batch_format="pyarrow")
+    return exchange_join(
+        big, keys, "_bk", "left anti" if anti else "left semi"
+    ).map_batches(lambda t: t.drop_columns(["_bk"]), batch_format="pyarrow")
 
 
 def range_join(
@@ -250,8 +215,8 @@ def segment_revenue(lineitem, orders, customer, cfg: EngineConfig):
 
     The fact stream (lineitem) is projected to two int64 columns map-side,
     both dimension joins are broadcast (orders and customer are the small
-    sides at any realistic scale ratio — and fall back to a hash join past
-    the cap), and the rollup is pre-aggregated inside map_batches so the
+    sides at any realistic scale ratio — and fall back to exchange_join
+    past the cap), and the rollup is pre-aggregated inside map_batches so the
     only exchange is a handful of (segment, partial) rows. ``revenue_e4``
     is ``round(price*100) * (100 - round(discount*100))`` in exact int64
     1e-4-dollar units."""
@@ -921,7 +886,7 @@ def local_supplier_revenue(
     Scale shape: nation⋈region is constant-size (25×5 by schema spec) and
     collapses driver-side to an in-region key set + key→name map shipped
     via ``ray.put``. Supplier attaches to lineitem through the guarded
-    ``broadcast_join`` (map-side merge under the cap, hash join above it).
+    ``broadcast_join`` (map-side merge under the cap, exchange_join above it).
     Two bucketed fact exchanges, both forced by key changes: customers
     meet date-filtered orders on hash(custkey); the surviving
     (orderkey, cust_nation) rows meet per-(orderkey, supp_nation)
@@ -1299,8 +1264,8 @@ def large_orders(
     (orderkey, partial) rows ride the ONE bucketed exchange; the HAVING
     filter shrinks the qualifying set to a broadcastable table that attaches
     to the streaming orders fact via the guarded broadcast join (orders
-    never shuffles; hash join past the cap), and customer attaches the same
-    way — the two facts never co-shuffle."""
+    never shuffles; exchange_join past the cap), and customer attaches the
+    same way — the two facts never co-shuffle."""
     cfg = cfg or EngineConfig()
     nb = cfg.num_buckets
 
@@ -1394,8 +1359,8 @@ def promo_revenue(
     (promo_revenue, total_revenue, promo_pct).
 
     Scale shape: the part dimension attaches to the streaming lineitem fact
-    via the guarded broadcast join (hash join past the cap — lineitem never
-    shuffles on the broadcast path); each batch collapses to ONE partial
+    via the guarded broadcast join (exchange_join past the cap — lineitem
+    never shuffles on the broadcast path); each batch collapses to ONE partial
     row, so the driver sees O(blocks) tiny rows."""
     cfg = cfg or EngineConfig()
 
@@ -2897,7 +2862,7 @@ def disjunctive_revenue(lineitem, part, cfg: EngineConfig, *,
     Scale shape: part filters DISTRIBUTED to the predicate brands (a
     ~|preds|/25 slice) and projects to (partkey → brand, size); the
     attach routes through the guarded ``broadcast_join`` (≤ cap →
-    ray.put + map-side merge with zero exchanges; above → hash-join
+    ray.put + map-side merge with zero exchanges; above → exchange_join
     fallback). Every joined batch evaluates the OR of ANDs vectorized
     and emits one scalar partial; a single final task folds the
     partials."""
@@ -3640,7 +3605,7 @@ def min_balance_supplier(lineitem, supplier, part, cfg: EngineConfig):
     Scale shape: lineitem pre-reduces map-side to DISTINCT (partkey,
     suppkey) rows per batch; supplier (cents, name) attaches to those
     skinny rows through the guarded ``broadcast_join`` (≤ cap → ray.put
-    map-side merge; above → hash-join fallback — supplier and part GROW
+    map-side merge; above → exchange_join fallback — supplier and part GROW
     with scale factor, so neither is ever materialized driver-side); ONE
     hash(partkey) exchange and a per-bucket lexsort-head argmin; part
     names attach to the ≤|part| winner rows the same guarded way. The

@@ -5,10 +5,11 @@ reference stops at the candidate set).
 Candidates arrive as (left_id, right_id, rank, cosine). The scorer needs both
 sides' turn texts: the tuple table is broadcast once via ray.put when it fits
 (EngineConfig.broadcast_rows_max) — the common shape, since canonical tuples
-are ~10^3× smaller than turns — else it falls back to a bucketed hash
-exchange of PACKED turn strings. Per-turn similarities are averaged over
-aligned turn indices (up to the shorter side), strings capped at
-``score_text_cap`` chars to bound the O(n·m) edit distance.
+are ~10^3× smaller than turns — else PACKED turn strings are attached by two
+left-outer ``canonicalize.exchange_join``s (one key exchange each).
+Per-turn similarities are averaged over aligned turn indices (up to the
+shorter side), strings capped at ``score_text_cap`` chars to bound the
+O(n·m) edit distance.
 
 Heap discipline (round-4 40M-run finding: score workers hit ~3.6 GB anon
 high-water and were OOM-killed, surviving only via task retry): turn texts
@@ -27,7 +28,6 @@ to the OS.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray
@@ -425,109 +425,16 @@ def unpack_turns_arrow(tx_col, tl_col) -> pa.Array:
     return pa.LargeListArray.from_arrays(pa.array(row_offs, pa.int64()), values)
 
 
-def _attach_packed(cands, packed, key_col, prefix, cfg, cand_schema):
-    """LEFT-attach a packed-turns side (key, {prefix}tx, {prefix}tl) onto
-    candidate rows via ONE bucketed hash exchange + in-bucket gathers — NOT
-    ``Dataset.join``, whose hash aggregator crashes on any partition where
-    one side is empty (schemaless empty table → FieldRef error, observed on
-    ray 2.49 even at toy scale). Both sides are tagged into an identical
-    arrow schema (typed null padding), unioned, bucketed on hash(key), and
-    gathered per bucket; the packed text rides the exchange exactly once.
-    A candidate key with no packed row keeps null tx/tl (scored as empty
-    turn lists — same semantics as the broadcast path). The in-bucket
-    gather is Arrow-side: candidate columns never round-trip through
-    pandas (no float64 detour on integer columns)."""
-    from .canonicalize import bucket_of
-
-    nb = cfg.num_buckets
-    names = [f.name for f in cand_schema]
-    out_schema = pa.schema(
-        list(cand_schema)
-        + [
-            pa.field(prefix + "tx", pa.string()),
-            pa.field(prefix + "tl", pa.string()),
-        ]
-    )
-    tx, tl = prefix + "tx", prefix + "tl"
-
-    def tag_c(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        b = bucket_of(batch.column(key_col).to_pandas(), nb)
-        return pa.table(
-            [batch.column(nm) for nm in names]
-            + [
-                pa.nulls(n, pa.string()),
-                pa.nulls(n, pa.string()),
-                pa.array(np.zeros(n, np.int8)),
-                pa.array(b),
-            ],
-            names=names + [tx, tl, "_src", "_b"],
-        )
-
-    def tag_p(batch: pa.Table) -> pa.Table:
-        n = len(batch)
-        b = bucket_of(batch.column(key_col).to_pandas(), nb)
-        cols = [
-            batch.column(key_col).cast(f.type)
-            if f.name == key_col
-            else pa.nulls(n, f.type)
-            for f in cand_schema
-        ]
-        return pa.table(
-            cols
-            + [
-                batch.column(tx),
-                batch.column(tl),
-                pa.array(np.ones(n, np.int8)),
-                pa.array(b),
-            ],
-            names=names + [tx, tl, "_src", "_b"],
-        )
-
-    def attach(t: pa.Table) -> pa.Table:
-        src = np.asarray(one_chunk(t.column("_src")))
-        c = t.filter(pa.array(src == 0))
-        p = t.filter(pa.array(src == 1))
-        if len(c) == 0:
-            return out_schema.empty_table()
-        if len(p) == 0:
-            txc = pa.nulls(len(c), pa.string())
-            tlc = pa.nulls(len(c), pa.string())
-        else:
-            # packed keys are unique by construction (one row per tuple
-            # id), so positional get_indexer is an exact left lookup
-            pidx = pd.Index(one_chunk(p.column(key_col)).to_pylist())
-            loc = pidx.get_indexer(
-                one_chunk(c.column(key_col)).to_pylist()
-            )
-            miss = loc < 0
-            idx = pa.array(np.where(miss, 0, loc), pa.int64(), mask=miss)
-            txc = one_chunk(p.column(tx)).take(idx)
-            tlc = one_chunk(p.column(tl)).take(idx)
-        return pa.table(
-            [c.column(nm) for nm in names] + [txc, tlc], schema=out_schema
-        )
-
-    tagged = cands.map_batches(tag_c, batch_format="pyarrow").union(
-        packed.map_batches(tag_p, batch_format="pyarrow")
-    )
-    return tagged.groupby("_b").map_groups(attach, batch_format="pyarrow")
-
-
 def _score_via_join(candidates, tuples_ds, right_tuples_ds, cfg, threshold, id_col):
     """Beyond-plasma path: attach PACKED turn texts (see _pack_turns_fn —
-    arrow carries no list<string> through exchanges here) to the candidate
-    pairs with two bucketed exchanges, then a stateless scoring map that
-    unpacks and scores entirely Arrow-side (unpack_turns_arrow +
-    score_lists_arrow)."""
-    cand_schema = pa.schema(
-        [
-            pa.field(nm, t)
-            for nm, t in zip(
-                candidates.schema().names, candidates.schema().types
-            )
-        ]
-    )
+    Arrow joins reject list<string> payloads) to the candidate pairs with
+    two chained left-outer ``exchange_join``s (left id, then right id),
+    then a stateless scoring map that unpacks and scores entirely
+    Arrow-side (unpack_turns_arrow + score_lists_arrow). A candidate id
+    with no tuple row keeps null tx/tl and scores with empty turn lists,
+    as on the broadcast path."""
+    from .canonicalize import exchange_join
+
     left_side = tuples_ds.select_columns([id_col, "turn_texts"]).map_batches(
         _pack_turns_fn(id_col, "left_id", "_l"), batch_format="pyarrow"
     )
@@ -535,16 +442,12 @@ def _score_via_join(candidates, tuples_ds, right_tuples_ds, cfg, threshold, id_c
     right_side = right_src.select_columns([id_col, "turn_texts"]).map_batches(
         _pack_turns_fn(id_col, "right_id", "_r"), batch_format="pyarrow"
     )
-    half = _attach_packed(
-        candidates, left_side, "left_id", "_l", cfg, cand_schema
+    joined = exchange_join(
+        exchange_join(candidates, left_side, "left_id", "left outer"),
+        right_side, "right_id", "left outer",
     )
-    half_schema = pa.schema(
-        list(cand_schema)
-        + [pa.field("_ltx", pa.string()), pa.field("_ltl", pa.string())]
-    )
-    joined = _attach_packed(
-        half, right_side, "right_id", "_r", cfg, half_schema
-    )
+    # read by the first join already (cached): the candidates' column order
+    names = candidates.schema().names
 
     cap = cfg.score_text_cap
 
@@ -558,8 +461,7 @@ def _score_via_join(candidates, tuples_ds, right_tuples_ds, cfg, threshold, id_c
         jw, lev, score = score_lists_arrow(
             la, lb, batch.column("cosine").to_pylist(), cap
         )
-        batch = batch.drop_columns(["_ltx", "_ltl", "_rtx", "_rtl"])
-        out = _append_scores(batch, jw, lev, score, threshold)
+        out = _append_scores(batch.select(names), jw, lev, score, threshold)
         _malloc_trim()
         return out
 

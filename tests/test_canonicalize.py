@@ -7,6 +7,7 @@ equality under stable turn ordering.
 import duckdb
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from deepblocker_ray.config import EngineConfig
@@ -191,6 +192,216 @@ class TestExchange:
                           "v": pd.Series([], dtype=np.int64)})
         )
         assert exchange(ds, "k", self.per_call_sums(), "pandas").count() == 0
+
+
+class TestExchangeJoin:
+    """``exchange_join`` equals pandas ``merge`` / ``isin`` for every join
+    type, whatever the block layout of either side."""
+
+    L_SCHEMA = pa.schema([("k", pa.string()), ("x", pa.int64())])
+    R_SCHEMA = pa.schema([("k", pa.string()), ("y", pa.float64())])
+
+    @staticmethod
+    def expected(left: pd.DataFrame, right: pd.DataFrame, how: str):
+        if how == "left semi":
+            return left[left["k"].isin(right["k"])]
+        if how == "left anti":
+            return left[~left["k"].isin(right["k"])]
+        return left.merge(
+            right, on="k", how="inner" if how == "inner" else "left"
+        )
+
+    @staticmethod
+    def canon(df: pd.DataFrame) -> pd.DataFrame:
+        cols = sorted(df.columns)
+        return (
+            df[cols].astype(str).sort_values(cols).reset_index(drop=True)
+        )
+
+    def joined(self, l_blocks, r_blocks, how):
+        import ray.data as rd
+
+        from deepblocker_ray.stages.canonicalize import exchange_join
+
+        def ds(blocks, schema):
+            return rd.from_arrow(
+                [
+                    pa.Table.from_pandas(b, schema=schema, preserve_index=False)
+                    for b in blocks
+                ]
+            )
+
+        out = exchange_join(
+            ds(l_blocks, self.L_SCHEMA), ds(r_blocks, self.R_SCHEMA), "k", how
+        )
+        names = out.schema().names
+        got = out.to_pandas()
+        return got if len(got) else pd.DataFrame(columns=names)
+
+    def check(self, l_blocks, r_blocks, how):
+        got = self.joined(l_blocks, r_blocks, how)
+        want = self.expected(pd.concat(l_blocks), pd.concat(r_blocks), how)
+        assert list(got.columns) == list(want.columns)
+        pd.testing.assert_frame_equal(self.canon(got), self.canon(want))
+        return got
+
+    @pytest.mark.parametrize(
+        "how", ["inner", "left outer", "left semi", "left anti"]
+    )
+    def test_matches_pandas_over_many_blocks(self, ray_session, how):
+        rng = np.random.default_rng(11)
+
+        def block(col, n, lo):
+            return pd.DataFrame(
+                {
+                    "k": [f"k{i:03d}" for i in rng.integers(lo, 120, n)],
+                    col: rng.integers(0, 1000, n),
+                }
+            )
+
+        l_blocks = [block("x", 40, 0) for _ in range(10)]
+        # right keys repeat within and across its 8 blocks, and start at
+        # k030, so some left keys have no match
+        r_blocks = [
+            block("y", 25, 30).astype({"y": np.float64}) for _ in range(8)
+        ]
+        assert pd.concat(r_blocks)["k"].duplicated().any()
+        got = self.check(l_blocks, r_blocks, how)
+        n_left = sum(len(b) for b in l_blocks)
+        if how in ("left semi", "left anti"):
+            assert len(got) < n_left  # existence only: no duplication
+        elif how == "left outer":
+            assert len(got) > n_left  # duplicate right keys multiply
+
+    @pytest.mark.parametrize(
+        "how", ["inner", "left outer", "left semi", "left anti"]
+    )
+    def test_empty_sides(self, ray_session, how):
+        left = pd.DataFrame({"k": ["a", "b"], "x": [1, 2]})
+        right = pd.DataFrame({"k": ["a"], "y": [1.0]})
+        self.check([left.head(0)], [right], how)
+        got = self.check([left], [right.head(0)], how)
+        assert len(got) == (2 if how in ("left outer", "left anti") else 0)
+
+    @pytest.mark.parametrize(
+        "how", ["inner", "left outer", "left semi", "left anti"]
+    )
+    def test_nul_keys_stay_apart(self, ray_session, how):
+        left = pd.DataFrame({"k": ["a\x00x", "a\x00z", "a"], "x": [1, 2, 3]})
+        right = pd.DataFrame({"k": ["a\x00x", "a\x00x"], "y": [1.0, 2.0]})
+        got = self.check([left], [right], how)
+        matched = {"inner": ["a\x00x"] * 2, "left semi": ["a\x00x"],
+                   "left anti": ["a", "a\x00z"],
+                   "left outer": ["a", "a\x00x", "a\x00x", "a\x00z"]}
+        assert sorted(got["k"]) == matched[how]
+
+    @pytest.mark.parametrize(
+        "how", ["inner", "left outer", "left semi", "left anti"]
+    )
+    def test_null_keys_never_match(self, ray_session, how):
+        """A sort cannot order null keys; they never match, and unmatched
+        left rows with one still come out (left outer, left anti)."""
+        left = pd.DataFrame({"k": ["a", None, "b", None], "x": [1, 2, 3, 4]})
+        right = pd.DataFrame({"k": ["a", None], "y": [1.0, 2.0]})
+        got = self.joined([left.head(2), left.tail(2)], [right], how)
+        want = {"inner": [1], "left semi": [1], "left anti": [2, 3, 4],
+                "left outer": [1, 2, 3, 4]}
+        assert sorted(got["x"]) == want[how]
+        kept_null = 2 if how in ("left outer", "left anti") else 0
+        assert got["k"].isna().sum() == kept_null
+
+    @pytest.mark.parametrize(
+        "how", ["inner", "left outer", "left semi", "left anti"]
+    )
+    def test_empty_pandas_block_keeps_values_exact(self, ray_session, how):
+        """An empty pandas block on one side sends Ray's sort merge through
+        pandas; int64 values above 2**53 and the column types still come
+        out exact."""
+        import ray.data as rd
+
+        from deepblocker_ray.stages.canonicalize import exchange_join
+
+        big = 2**62
+        left = pd.DataFrame(
+            {"k": ["a", "b", "c"], "h": [big + 1, big + 3, -big - 5]}
+        )
+        right = pd.DataFrame({"k": ["a", "c", "c"], "y": [big + 7, 1, 2]})
+        out = exchange_join(
+            rd.from_arrow(pa.Table.from_pandas(left, preserve_index=False)),
+            rd.from_pandas([right.head(0), right]), "k", how,
+        )
+        assert out.schema().base_schema.field("h").type == pa.int64()
+        got = out.to_pandas()
+        want = self.expected(left, right, how)
+        pd.testing.assert_frame_equal(self.canon(got), self.canon(want))
+
+
+ONE_CPU_FALLBACKS = r"""
+import pandas as pd
+import ray
+import ray.data as rd
+
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+rd.DataContext.get_current().enable_progress_bars = False
+from deepblocker_ray.config import EngineConfig
+from deepblocker_ray.fixtures import synth_transcripts
+from deepblocker_ray.pipelines.linkage import link_transcripts
+from deepblocker_ray.stages.cluster import graph_modularity
+
+
+def frame(ds):
+    df = ds.to_pandas()
+    return df.sort_values(sorted(df.columns)).reset_index(drop=True)
+
+
+def modularity(cap):
+    edges = pd.DataFrame({"left_id": ["a", "b", "c"],
+                          "right_id": ["b", "c", "d"]})
+    labels = pd.DataFrame({"doc_id": ["a", "b", "c", "d"],
+                           "cluster_id": ["A", "A", "C", "C"]})
+    return frame(graph_modularity(
+        rd.from_pandas(edges), rd.from_pandas(labels),
+        EngineConfig(broadcast_rows_max=cap)))
+
+
+def link(df, cap):
+    out = link_transcripts(rd.from_pandas(df),
+                           EngineConfig(broadcast_rows_max=cap))
+    return frame(out["matches"]), frame(out["clusters"])
+
+
+pd.testing.assert_frame_equal(modularity(0), modularity(2_000_000))
+df, _ = synth_transcripts(n_base=150, seed=3)
+assert df["conv_id"].nunique() >= 200
+(m0, c0), (m1, c1) = link(df, 0), link(df, 2_000_000)
+pd.testing.assert_frame_equal(m0, m1)
+pd.testing.assert_frame_equal(c0, c1)
+assert len(m0) > 0 and len(c0) == df["conv_id"].nunique()
+ray.shutdown()
+print("FALLBACKS_OK")
+"""
+
+
+def test_join_fallbacks_finish_on_one_cpu():
+    """Every join fallback (``broadcast_rows_max=0``) finishes on a 1-CPU
+    session and equals the broadcast path: ``graph_modularity`` on 3 edges
+    and a ~220-conversation ``link_transcripts``, in a fresh process with
+    its own ``ray.init(num_cpus=1)``. Ray's ``Dataset.join`` schedules
+    hash-shuffle aggregator actors, which a 1-CPU session could not all
+    place, and hung here."""
+    import os
+    import subprocess
+    import sys
+
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=repo, RAY_GRAFT_CPUS="1")
+    r = subprocess.run(
+        [sys.executable, "-c", ONE_CPU_FALLBACKS],
+        cwd=repo, env=env, capture_output=True, text=True, timeout=180,
+    )
+    assert r.returncode == 0, r.stderr[-3000:]
+    assert "FALLBACKS_OK" in r.stdout
 
 
 class TestDocumentDerivedTranscripts:

@@ -61,16 +61,3 @@ def test_lazy_variant_still_repartitions(ray_session):
     ds = rd.from_pandas(pd.DataFrame({"x": range(64)}))
     out = parallel_blocks(ds, factor=1).materialize()
     assert out.num_blocks() >= default_parallelism()
-
-
-def test_join_partitions_never_exceeds_session_cpus(ray_session):
-    """Dataset.join deadlocks when its aggregator actors cannot all be
-    scheduled (probed: 8 partitions hang a 2-CPU session) — the helper must
-    cap at the session CPU count and floor at 2."""
-    from deepblocker_ray.config import join_partitions
-
-    dp = default_parallelism()
-    assert join_partitions() == max(2, dp)
-    assert join_partitions(8) == max(2, min(8, dp))
-    assert join_partitions(1) == 2
-    assert join_partitions(10_000) == max(2, dp)

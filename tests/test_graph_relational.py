@@ -381,6 +381,38 @@ class TestGraphModularity:
         ).to_pandas()
         pd.testing.assert_frame_equal(a, b)
 
+    def test_join_path_small_input(self, ray_session):
+        """3 edges, 4 labels: the join path (exchange_join) equals the
+        broadcast path. Ray's Dataset.join hung or raised ArrowInvalid in
+        its hash-shuffle aggregator on this input."""
+        import pandas as pd
+        import ray.data as rd
+
+        from deepblocker_ray.config import EngineConfig
+        from deepblocker_ray.stages.cluster import graph_modularity
+
+        def run(cap):
+            edges = rd.from_pandas(
+                pd.DataFrame(
+                    {"left_id": ["a", "b", "c"], "right_id": ["b", "c", "d"]}
+                )
+            )
+            labels = rd.from_pandas(
+                pd.DataFrame(
+                    {"doc_id": ["a", "b", "c", "d"],
+                     "cluster_id": ["A", "A", "C", "C"]}
+                )
+            )
+            return graph_modularity(
+                edges, labels,
+                EngineConfig(num_buckets=4, broadcast_rows_max=cap),
+            ).to_pandas()
+
+        got = run(0)
+        pd.testing.assert_frame_equal(got, run(2_000_000))
+        # m = 3, e_A = e_C = 1, d_A = d_C = 3: Q = (4·3·2 − 18) / 36
+        assert got.loc[0, "q"] == 6.0 / 36.0
+
     def test_singleton_labels_zero_internal(self, ray_session):
         """Every node its own cluster: no within-cluster edges, Q < 0."""
         import pandas as pd

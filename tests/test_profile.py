@@ -1637,6 +1637,32 @@ class TestPrivacyAudits:
         # x: 3 rows all 'flu' -> low; y: 2 distinct -> fine; z: 1 -> low
         assert tuple(out.iloc[0]) == (3, 2, 4)
 
+    def test_null_first_quasi_identifier_classes_stay_apart(
+        self, ray_session
+    ):
+        """(null, p) and (null, q) are two classes. A null-sentinel tuple
+        key grouped in pandas merged every tuple whose first column is
+        null (keys that agree up to a "\x00" group as one)."""
+        import ray.data as rd
+
+        from deepblocker_ray.config import EngineConfig
+        from deepblocker_ray.stages.profile import k_anonymity, l_diversity
+
+        df = pd.DataFrame(
+            {"a": [None, None, "x", "y"], "b": ["p", "q", "p", "q"],
+             "s": ["s1", "s2", "s3", "s4"]}
+        )
+        cfg = EngineConfig(num_buckets=4)
+        ka = k_anonymity(
+            rd.from_pandas(df), cfg, columns=["a", "b"], k=2
+        ).to_pandas()
+        assert tuple(ka.iloc[0]) == (4, 4, 4, 4)
+        ld = l_diversity(
+            rd.from_pandas(df), cfg, qi_columns=["a", "b"],
+            sensitive_col="s", l=2,
+        ).to_pandas()
+        assert tuple(ld.iloc[0]) == (4, 4, 4)
+
 
 class TestQuantileMap:
     def test_rank_preserving_map(self, ray_session):
